@@ -6,7 +6,7 @@ statistics, cross-validated against each other:
 - `stripdep.process` / `stripdep.ensemble`: Monte Carlo simulation of the
   deposition chain (full heights or the first-hit permutation fast path);
 - `stripdep.roots` / `stripdep.gaps`: exact distributions via generating
-  function recursions in rational arithmetic;
+  function recursions over integer counts of first-hit orders;
 - `stripdep.oracle`: brute-force enumeration over all first-hit orders for
   small widths.
 """

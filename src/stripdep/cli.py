@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .process import BoundaryMode
 from .ratpoly import RationalFunctionSeries, RationalPolynomial, pgf_moments
-from .roots import aux_root_pgf, cyclic_root_pgf
+from .roots import aux_root_counts, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,9 +58,16 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise EnsembleConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -81,16 +88,20 @@ def _csv_text(header, rows, config: dict) -> str:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise EnsembleConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise EnsembleConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise EnsembleConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 # config-file keys -> (argparse dest, converter); list-valued flags take
@@ -171,13 +182,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def _apply_config_file(argv, parser, subparsers):
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        parser.error("--config needs a file argument")
-    values = _load_config_file(argv[idx + 1])
+def _apply_config_file(path, subparsers):
+    values = _load_config_file(path)
     for key, raw in values.items():
         if key not in _CONFIG_KEYS:
             raise EnsembleConfigError(f"unknown config key {key!r}")
@@ -222,7 +228,7 @@ def _cmd_simulate(args) -> int:
     if args.gnuplot:
         for name, series in _histogram_series(stats).items():
             path = f"{args.gnuplot}{name}.dat"
-            with open(path, "w") as fh:
+            with _open_out(path) as fh:
                 fh.write(f"# {json.dumps(cfg.to_json_dict(), sort_keys=True)}\n")
                 for b, c in series:
                     fh.write(f"{b} {c}\n")
@@ -484,6 +490,10 @@ def _suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     _check(checks, f"triple normalization and degree law for K=3..{kt}", ok)
     ok = all(t.c == gap_distribution(1, t.K + 1) for t in triples)
     _check(checks, f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}", ok)
+    reference = first_step_root_counts(kt)
+    ok = all(aux_root_counts(K) == reference[K] for K in range(kt + 1))
+    _check(checks, f"cross-engine: insertion root engine equals first-step recursion "
+                   f"for K=0..{kt}", ok)
 
     ks = min(kmax, 25)
     for i in range(1, 8):
@@ -559,8 +569,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config_file(argv, parser, subparsers)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file sets the sub-commands' defaults; parse again so that
+            # explicit flags, in any spelling argparse accepts, still win
+            _apply_config_file(args.config, subparsers)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (EnsembleConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,27 +4,39 @@ For the cyclic process of width K, D(i, K) counts pairs of consecutive roots
 at circular distance i+1. Conditioning on the first deposit reduces the
 cyclic problem to an interval with a root at each end, a block of l occupied
 sites hugging the left root, r occupied sites hugging the right root, and an
-empty stretch in between. With k the inner width, the PGF of the number of
-index-i gaps that eventually form inside the interval satisfies, for
-m = k - l - r >= 3,
+empty stretch of m = k - l - r sites in between (k is the inner width). With
+E(l, r, k) the PGF of the number of index-i gaps that eventually form inside
+the interval, the first deposit extends the left block, splits the interval
+at a fresh root, or extends the right block, each site with probability 1/m.
 
-    E[(l,r,k)] = (1/m) * ( E[(l+1,r,k)]
-                           + sum_{j=2}^{m-1} E[(l,0,j+l-1)] * E[(0,r,k-j-l)]
-                           + E[(l,r+1,k)] )
+The engine carries integer counts of first-hit orders of the m empty sites,
+N = m! * E, so that for m >= 3
 
-(the first deposit extends the left block, splits the interval at a fresh
-root, or extends the right block), with boundary value u**1{k==i} once the
-empty stretch has shrunk to m <= 2 and no further root can appear. The gap
-count of the full ring is the entry (0, 0, K-1).
+    N(l, r, m) = N(l+1, r, m-1) + N(l, r+1, m-1)
+                 + sum_{m1=1}^{m-2} C(m-1, m1) * N(l, 0, m1) * N(0, r, m-1-m1),
+
+and at the boundary m <= 2, where no further root can appear, N = m! * u
+when the interval is itself an index-i gap (k == i) and m! otherwise.
+
+A block of l >= i+1 sites already makes its root's gap longer than i, so N
+depends on l only through l' = min(l, i+1), on r the same way: the table's
+states are the capped triples (l', r', m), O(i^2 k) of them instead of
+O(k^3). An interval is an index-i gap exactly when l' < i+1, r' < i+1 and
+l' + r' + m == i. Reflection symmetry keeps only l' <= r'. Each stored
+entry is checked to be non-negative with coefficients summing to m!, and
+becomes a `RationalPolynomial` (divided by m!) only when `entry` returns
+it. The gap count of the full ring is the entry (0, 0, K-1).
 
 A second, much cheaper engine covers i = 1: the interval PGFs for unit gaps
 collapse onto a triple of polynomial sequences (a_K, b_K, c_K) driven by
-coupled convolution recursions, with c_K the PGF of D(1, K+1). The two
+coupled convolution recursions, with c_K the PGF of D(1, K+1). It keeps
+exact rational coefficients and is independent of the table; the two
 engines cross-validate each other entry by entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +44,7 @@ from .process import MIN_WIDTH
 from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
 
 # Stored-coefficient budget for one recursion table. Generous for every use
-# in this package (width 40, all gap lengths up to 7 stays under ~2e5).
+# in this package (width 40 stays under 5e3 for each gap length up to 7).
 DEFAULT_COEFFICIENT_BUDGET = 5_000_000
 
 _U = RationalPolynomial.monomial(1)
@@ -54,12 +66,27 @@ class TableBudgetError(RuntimeError):
         self.budget = budget
 
 
-class GapRecursionTable:
-    """Interval PGFs E(u^gap count) for one gap index i, memoized over (l, r, k).
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            out[p + q] += x * y
+    return out
 
-    Only non-boundary states (k - l - r >= 3) are stored; boundary states are
-    synthesized on demand. Reflection symmetry of the interval lets the table
-    keep canonical l <= r entries, halving storage.
+
+def _add_into(acc: list[int], poly: list[int], weight: int = 1) -> None:
+    if len(acc) < len(poly):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for p, c in enumerate(poly):
+        acc[p] += weight * c
+
+
+class GapRecursionTable:
+    """Interval PGFs E(u^gap count) for one gap index i.
+
+    Stores integer counts N = m! * E over the capped states (l', r', m) with
+    m >= 3 and l' <= r'; boundary states (m <= 2) are synthesized on demand.
+    `entry` accepts any interval state (l, r, k) with k <= k_max.
     """
 
     def __init__(self, i: int, k_max: int,
@@ -71,19 +98,40 @@ class GapRecursionTable:
         self.i = i
         self.coefficient_budget = coefficient_budget
         self.k_max = -1
-        self._entries: dict[tuple[int, int, int], RationalPolynomial] = {}
+        self._cap = i + 1
+        self._counts: dict[tuple[int, int, int], list[int]] = {}
+        self._pgfs: dict[tuple[int, int, int], RationalPolynomial] = {}
         self._stored_coefficients = 0
         self.extend(k_max)
 
-    def _boundary(self, k: int) -> RationalPolynomial:
-        return _U if k == self.i else _ONE
+    def _boundary(self, l: int, r: int, m: int) -> list[int]:
+        if l < self._cap and r < self._cap and l + r + m == self.i:
+            return [0, math.factorial(m)]
+        return [math.factorial(m)]
 
-    def _get(self, l: int, r: int, k: int) -> RationalPolynomial:
-        if k - l - r <= 2:
-            return self._boundary(k)
-        if l > r:
-            l, r = r, l
-        return self._entries[(l, r, k)]
+    def _get(self, l: int, r: int, m: int) -> list[int]:
+        """Counts at a capped state."""
+        if m <= 2:
+            return self._boundary(l, r, m)
+        return self._counts[(l, r, m) if l <= r else (r, l, m)]
+
+    def _compute(self, l: int, r: int, m: int) -> list[int]:
+        cap = self._cap
+        acc = list(self._get(min(l + 1, cap), r, m - 1))
+        _add_into(acc, self._get(l, min(r + 1, cap), m - 1))
+        for m1 in range(1, m - 1):
+            _add_into(acc, _mul(self._get(l, 0, m1), self._get(0, r, m - 1 - m1)),
+                      math.comb(m - 1, m1))
+        return acc
+
+    def _store(self, l: int, r: int, m: int, counts: list[int]) -> None:
+        if sum(counts) != math.factorial(m) or any(c < 0 for c in counts):
+            raise ArithmeticError(
+                f"table entry (l={l}, r={r}, k={l + r + m}) for i={self.i} is not a PGF")
+        self._stored_coefficients += len(counts)
+        if self._stored_coefficients > self.coefficient_budget:
+            raise TableBudgetError(self.i, (l, r, l + r + m), self.coefficient_budget)
+        self._counts[(l, r, m)] = counts
 
     def entry(self, l: int, r: int, k: int) -> RationalPolynomial:
         """PGF for the interval state (l, r, k)."""
@@ -91,36 +139,37 @@ class GapRecursionTable:
             raise ValueError(f"invalid interval state (l={l}, r={r}, k={k})")
         if k > self.k_max:
             raise ValueError(f"state (l={l}, r={r}, k={k}) beyond table k_max {self.k_max}")
-        return self._get(l, r, k)
-
-    def _compute(self, l: int, r: int, k: int) -> RationalPolynomial:
         m = k - l - r
-        acc = self._get(l + 1, r, k) + self._get(l, r + 1, k)
-        for j in range(2, m):
-            acc = acc + self._get(l, 0, j + l - 1) * self._get(0, r, k - j - l)
-        return acc / m
+        l, r = sorted((min(l, self._cap), min(r, self._cap)))
+        pgf = self._pgfs.get((l, r, m))
+        if pgf is None:
+            total = math.factorial(m)
+            pgf = self._pgfs[(l, r, m)] = RationalPolynomial(
+                [Fraction(c, total) for c in self._get(l, r, m)])
+        return pgf
 
-    def _store(self, l: int, r: int, k: int, poly: RationalPolynomial) -> None:
-        if poly.sum_of_coefficients() != 1 or any(c < 0 for c in poly.coefficients):
-            raise ArithmeticError(
-                f"table entry (l={l}, r={r}, k={k}) for i={self.i} is not a PGF")
-        self._stored_coefficients += len(poly.coefficients)
-        if self._stored_coefficients > self.coefficient_budget:
-            raise TableBudgetError(self.i, (l, r, k), self.coefficient_budget)
-        self._entries[(l, r, k)] = poly
+    def stored_counts(self):
+        """The stored (l', r', m) states with their integer counts N."""
+        return self._counts.items()
 
     def extend(self, k_max: int) -> "GapRecursionTable":
-        """Complete the table for all states with k <= k_max."""
+        """Complete the table for all states with k <= k_max.
+
+        A capped state (l', r', m) first appears at k = l' + r' + m; states
+        are built by that k, then by s = l' + r' from the deepest layer up,
+        so every state a rule reads is already stored.
+        """
+        cap = self._cap
         for k in range(max(self.k_max + 1, 3), k_max + 1):
-            for s in range(k - 3, -1, -1):       # s = l + r, deepest layers first
-                for l in range(s // 2 + 1):
+            for s in range(min(k - 3, 2 * cap), -1, -1):
+                for l in range(max(0, s - cap), s // 2 + 1):
                     r = s - l
-                    self._store(l, r, k, self._compute(l, r, k))
+                    self._store(l, r, k - s, self._compute(l, r, k - s))
         self.k_max = max(self.k_max, k_max)
         return self
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._counts)
 
 
 _table_cache: dict[int, GapRecursionTable] = {}

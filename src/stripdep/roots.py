@@ -1,16 +1,34 @@
 """Exact distribution of the final root count.
 
-The auxiliary (pinned-boundary) process of width K admits a first-step
-decomposition: the first deposit either extends one of the boundary columns
-(no new root, width effectively shrinks by one) or lands in the interior,
-creating a root and splitting the strip into two independent sub-strips.
-For the PGF L_K(z) = E(z^{#roots}) this gives
+A site of the auxiliary (pinned-boundary) process of width K is a root when
+it is first hit before both of its neighbours, so the root count is the
+number of interior valleys of a uniform random first-hit order. The engine
+therefore works on integer counts of first-hit orders,
 
-    L_K(z) = (1/K) * (2 L_{K-1}(z) + z * sum_{j=2}^{K-1} L_{j-1}(z) L_{K-j}(z))
+    W_K(t) = K! * L_K(t),   L_K(t) = E(t^{#roots}),
 
-with L_0 = L_1 = L_2 = 1. The cyclic process of width K, observed after its
-first particle, is the auxiliary process of width K-1 with one extra root, so
-its PGF is z * L_{K-1}(z).
+whose coefficient of t^d is the number of orders of K ranks with d roots
+(the classical peak polynomial; David & Barton, Combinatorial Chance, 1962;
+Warren & Seneta, J. Appl. Probab. 1996). Inserting the largest rank into an
+order of K ranks gives
+
+    W_{K+1}(t) = (2 + (K-1) t) W_K(t) + 2 t (1 - t) W_K'(t),
+
+with W_0 = W_1 = 1: per coefficient, c_d t^d adds (2 + 2d) c_d to t^d and
+(K - 1 - 2d) c_d to t^{d+1}. A layer costs O(K) integer operations, and
+`aux_root_pgf` divides by K! only when it returns a `RationalPolynomial`.
+
+The paper's first-step decomposition is kept as the reference engine
+(`first_step_root_counts`): the first deposit either extends a boundary
+column (no new root, width shrinks by one) or lands in the interior,
+creating a root and splitting the strip into two independent sub-strips,
+
+    W_K(t) = 2 W_{K-1}(t) + t * sum_{j=2}^{K-1} C(K-1, j-1) W_{j-1}(t) W_{K-j}(t),
+
+which is L_K = (2 L_{K-1} + t sum L_{j-1} L_{K-j}) / K multiplied by K!.
+`verify tables` checks that the two engines agree. The cyclic process of
+width K, observed after its first particle, is the auxiliary process of
+width K-1 with one extra root, so its PGF is t * L_{K-1}(t).
 
 Two floating-point companions cross-check the exact engine: the closed form
 of the series sum over K (`root_series_closed_form`) and the dominant-pole
@@ -25,13 +43,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 from .process import MIN_WIDTH
 from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
 
 __all__ = [
+    "aux_root_counts",
     "aux_root_pgf",
     "cyclic_root_pgf",
+    "first_step_root_counts",
     "pgf_moments",
     "MomentSummary",
     "root_series_closed_form",
@@ -39,22 +60,67 @@ __all__ = [
     "pole_position",
 ]
 
-_ONE = RationalPolynomial.one()
-_pgf_cache: list[RationalPolynomial] = [_ONE, _ONE, _ONE]
+# The highest layer W_n reached so far; a request below it restarts from W_1.
+# Every layer up to K=1500 held at once would take about 600 MiB.
+_top_width = 1
+_top_counts: tuple[int, ...] = (1,)
+_pgf_cache: dict[int, RationalPolynomial] = {}
+
+
+def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
+    """W_{n+1} from W_n by inserting the largest rank."""
+    out = [0] * (len(counts) + 1)
+    for d, c in enumerate(counts):
+        out[d] += (2 + 2 * d) * c
+        out[d + 1] += (n - 1 - 2 * d) * c
+    while out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def aux_root_counts(K: int) -> tuple[int, ...]:
+    """Coefficients of W_K = K! * L_K: first-hit orders by root count."""
+    global _top_width, _top_counts
+    if K < 0:
+        raise ValueError(f"width must be non-negative, got {K}")
+    n, counts = (_top_width, _top_counts) if K >= _top_width else (1, (1,))
+    while n < K:
+        counts = _insert_largest(n, counts)
+        n += 1
+    if K > _top_width:
+        _top_width, _top_counts = K, counts
+    return counts
 
 
 def aux_root_pgf(K: int) -> RationalPolynomial:
     """PGF of the root count of the auxiliary process of width K; memoized."""
-    if K < 0:
-        raise ValueError(f"width must be non-negative, got {K}")
-    while len(_pgf_cache) <= K:
-        n = len(_pgf_cache)
-        conv = RationalPolynomial.zero()
+    pgf = _pgf_cache.get(K)
+    if pgf is None:
+        counts = aux_root_counts(K)
+        total = math.factorial(K)
+        pgf = _pgf_cache[K] = RationalPolynomial([Fraction(c, total) for c in counts])
+    return pgf
+
+
+def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
+    """W_0..W_{k_max} from the paper's first-step recursion (the reference)."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    layers: list[list[int]] = [[1], [1]]
+    for n in range(2, k_max + 1):
+        acc = [2 * c for c in layers[n - 1]]
         for j in range(2, n):
-            conv = conv + _pgf_cache[j - 1] * _pgf_cache[n - j]
-        # interior landings create one root each, hence the factor of z
-        _pgf_cache.append((2 * _pgf_cache[n - 1] + conv.shift(1)) / n)
-    return _pgf_cache[K]
+            weight = math.comb(n - 1, j - 1)
+            left, right = layers[j - 1], layers[n - j]
+            need = len(left) + len(right)           # one more for the factor t
+            if len(acc) < need:
+                acc.extend([0] * (need - len(acc)))
+            for a, x in enumerate(left):
+                wx = weight * x
+                for b, y in enumerate(right):
+                    acc[a + b + 1] += wx * y
+        layers.append(acc)
+    return [tuple(layer) for layer in layers[:k_max + 1]]
 
 
 def cyclic_root_pgf(K: int) -> RationalPolynomial:

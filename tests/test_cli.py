@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stripdep import gaps
 from stripdep.cli import main
 
 
@@ -119,6 +120,13 @@ def test_verify_roots_suite(capsys):
     assert out.strip().endswith("OK: all checks passed")
 
 
+def test_verify_tables_suite_cross_checks_root_engines(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "12")
+    assert code == 0
+    assert ("PASS: [tables] cross-engine: insertion root engine equals first-step "
+            "recursion for K=0..12") in out
+
+
 def test_verify_oracle_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "oracle", "--kmax", "11")
     assert code == 3
@@ -155,3 +163,35 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["results"][0]["K"] == 4
+
+
+def test_config_file_given_with_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("runs=7\nK=10\n")
+    code, out, _ = run_cli(capsys, f"--config={cfg}", "simulate")
+    assert code == 0
+    assert json.loads(out)["config"]["runs"] == 7
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path / "absent.cfg"),
+                             "exact-roots", "--K", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "absent.cfg" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "roots.json"
+    code, _, err = run_cli(capsys, "exact-roots", "--K", "4", "--out", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "cannot write" in err
+
+
+def test_gap_table_budget_guard_exits_3(monkeypatch, capsys):
+    small = gaps.GapRecursionTable(1, 3, coefficient_budget=10)
+    monkeypatch.setattr(gaps, "_table_cache", {1: small})
+    code, out, err = run_cli(capsys, "exact-gaps", "--K", "20", "--i", "1")
+    assert code == 3
+    assert out == ""
+    assert "budget of 10" in err

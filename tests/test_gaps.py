@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -59,6 +60,7 @@ def test_gap_distribution_small_widths():
 
 
 def test_reflection_symmetry_against_plain_recursion():
+    # the plain Fraction recursion over uncapped states (l, r, k)
     @lru_cache(maxsize=None)
     def reference(i, l, r, k):
         m = k - l - r
@@ -69,13 +71,29 @@ def test_reflection_symmetry_against_plain_recursion():
             acc = acc + reference(i, l, 0, j + l - 1) * reference(i, 0, r, k - j - l)
         return acc / m
 
-    table = gap_pgf_table(2, 9)
-    for k in range(3, 10):
-        for l in range(k + 1):
-            for r in range(k - l + 1):
-                want = reference(2, l, r, k)
-                assert want == reference(2, r, l, k)
-                assert table.entry(l, r, k) == want
+    for i in (1, 2, 3):
+        table = gap_pgf_table(i, 10)
+        for k in range(11):
+            for l in range(k + 1):           # blocks up to k, far beyond i+1
+                for r in range(k - l + 1):
+                    want = reference(i, l, r, k)
+                    assert want == reference(i, r, l, k)
+                    assert table.entry(l, r, k) == want, (i, l, r, k)
+
+
+def test_stored_integer_counts_sum_to_m_factorial():
+    for i in (1, 4, 7):
+        t = GapRecursionTable(i=i, k_max=20)
+        assert len(t) == len(t.stored_counts())
+        for (l, r, m), counts in t.stored_counts():
+            assert l <= r <= i + 1 and m >= 3 and l + r + m <= 20
+            assert all(c >= 0 for c in counts)
+            assert sum(counts) == math.factorial(m)
+
+
+def test_capped_table_entry_counts():
+    # states (l', r', m) with l' <= r' <= i+1, m >= 3, l' + r' + m <= 39
+    assert [len(GapRecursionTable(i, 39)) for i in (1, 7)] == [210, 1305]
 
 
 def test_stored_entries_are_pgfs_with_bounded_degree():

@@ -2,12 +2,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stripdep.oracle import enumerate_root_distribution
+from stripdep.process import BoundaryMode
 from stripdep.ratpoly import RationalPolynomial as P
 from stripdep.roots import (
     asymptotic_root_pgf,
+    aux_root_counts,
     aux_root_pgf,
     cyclic_root_pgf,
+    first_step_root_counts,
     pgf_moments,
     pole_position,
     root_series_closed_form,
@@ -111,3 +116,48 @@ def test_asymptotic_domain_errors():
         asymptotic_root_pgf(1.0, 10)
     with pytest.raises(ValueError):
         asymptotic_root_pgf(1.1, 2)
+
+
+def test_insertion_engine_equals_first_step_recursion_to_110():
+    reference = first_step_root_counts(110)
+    assert len(reference) == 111
+    for K in range(111):
+        counts = aux_root_counts(K)
+        assert counts == reference[K]
+        assert sum(counts) == math.factorial(K)
+    # a width below the highest layer reached restarts from W_1
+    assert aux_root_counts(5) == reference[5] == (16, 88, 16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(3, 8), mode=st.sampled_from(list(BoundaryMode)))
+def test_root_pgfs_equal_enumeration_oracle(K, mode):
+    engine = cyclic_root_pgf(K) if mode is BoundaryMode.CYCLIC else aux_root_pgf(K)
+    assert engine == enumerate_root_distribution(K, mode).pgf()
+
+
+def _cyclic_root_cumulants(K):
+    """Mean and cumulants 2..4 of the cyclic root count at width K, from the
+    integer counts of the auxiliary process at width K-1 (one extra root)."""
+    counts = aux_root_counts(K - 1)
+    n = sum(counts)
+    m1, m2, m3, m4 = (F(sum(c * (d + 1) ** j for d, c in enumerate(counts)), n)
+                      for j in range(1, 5))
+    k2 = m2 - m1**2
+    k3 = m3 - 3 * m1 * m2 + 2 * m1**3
+    k4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4 - 3 * k2**2
+    return m1, k2, k3, k4
+
+
+def test_root_third_and_fourth_cumulant_laws():
+    for K in range(3, 301):
+        _, _, k3, k4 = _cyclic_root_cumulants(K)
+        assert (k3 == F(-2 * K, 945)) == (K >= 7), K
+        assert (k4 == F(-22 * K, 4725)) == (K >= 9), K
+
+
+def test_root_mean_and_variance_laws_at_large_widths():
+    for K in (150, 300, 500):
+        mean, var, _, _ = _cyclic_root_cumulants(K)
+        assert mean == F(K, 3)
+        assert var == F(2 * K, 45)
