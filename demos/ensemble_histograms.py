@@ -16,14 +16,8 @@ from pathlib import Path
 from stripdep import EnsembleConfig, normalized_ks_statistic, run_ensemble
 
 
-def write_csv(path, label, series, config):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for key, value in sorted(config.items()):
-            fh.write(f"# {key}={value}\n")
-        fh.write("statistic,bin,count\n")
-        for b, c in series:
-            fh.write(f"{label},{b},{c}\n")
+def write_csv(stats, path, statistic, i=None):
+    stats.write_histogram_csv(path, statistic, i)
     print(f"  wrote {path}")
 
 
@@ -45,8 +39,7 @@ def main():
                                      K / 3, math.sqrt(2 * K / 45))
         print(f"K={K:>5}: mean {mean:9.3f} (K/3 = {K / 3:.1f})  "
               f"variance {var:8.3f} (2K/45 = {2 * K / 45:.2f})  KS {ks:.4f}")
-        write_csv(out / f"roots_hist_K{K}.csv", "roots",
-                  sorted(stats.histogram("roots").items()), cfg.to_json_dict())
+        write_csv(stats, out / f"roots_hist_K{K}.csv", "roots")
 
     print()
     print(f"gap counts and empirical gap average at K=1500, {args.runs} runs")
@@ -56,17 +49,12 @@ def main():
     stats = run_ensemble(cfg)
     for i in range(1, 7):
         print(f"  gaps of length {i}: mean {stats.mean('gaps', i):8.2f}")
-        write_csv(out / f"gap{i}_hist_K1500.csv", f"gaps[{i}]",
-                  sorted(stats.histogram("gaps", i).items()), cfg.to_json_dict())
+        write_csv(stats, out / f"gap{i}_hist_K1500.csv", "gaps", i)
     emp = stats.samples("empirical_gap_average")
     t = math.sqrt(1500) * (emp - 2.0)
     print(f"  empirical gap average: mean {emp.mean():.4f} (-> 2); "
           f"variance of sqrt(K)*(avg-2): {t.var(ddof=1):.3f} (-> 18/5 = 3.6)")
-    edges, counts = stats.histogram("empirical_gap_average")
-    centers = (edges[:-1] + edges[1:]) / 2
-    write_csv(out / "empirical_gap_average_hist_K1500.csv", "empirical_gap_average",
-              [(format(b, '.10g'), int(c)) for b, c in zip(centers, counts)],
-              cfg.to_json_dict())
+    write_csv(stats, out / "empirical_gap_average_hist_K1500.csv", "empirical_gap_average")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .ratpoly import (
     RationalFunctionSeries,
     RationalPolynomial,
     pgf_moments,
-    series_coefficients,
 )
 from .roots import (
     asymptotic_root_pgf,

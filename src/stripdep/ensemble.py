@@ -14,7 +14,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
@@ -204,7 +206,7 @@ def _simulate_chunk(cfg: EnsembleConfig, start: int, stop: int) -> dict:
             growth_samples.append(_run_growth(K, cfg.growth_steps, rng))
 
     return {
-        "start": start,
+        "runs": stop - start,
         "roots": root_hist,
         "gaps": gap_hists,
         "empirical": np.asarray(emp_samples, dtype=np.float64),
@@ -226,26 +228,18 @@ class EnsembleStats:
         self.runtime_seconds: float | None = None
         self.generator_id = GENERATOR_ID
 
-    def _absorb_chunk(self, chunk: dict, n_runs: int) -> None:
-        self.runs += n_runs
-        self.root_histogram.update(chunk["roots"])
-        for i, c in chunk["gaps"].items():
-            self.gap_histograms[i].update(c)
-        if chunk["empirical"].size:
-            self.empirical_samples = np.concatenate([self.empirical_samples, chunk["empirical"]])
-        if chunk["growth"].size:
-            self.growth_samples = np.concatenate([self.growth_samples, chunk["growth"]])
-
-    def merge(self, other: "EnsembleStats") -> "EnsembleStats":
-        """Combine two partial aggregates (self's runs first)."""
-        out = EnsembleStats(self.config)
-        out.runs = self.runs + other.runs
-        out.root_histogram = self.root_histogram + other.root_histogram
-        for i in out.gap_histograms:
-            out.gap_histograms[i] = self.gap_histograms[i] + other.gap_histograms[i]
-        out.empirical_samples = np.concatenate([self.empirical_samples, other.empirical_samples])
-        out.growth_samples = np.concatenate([self.growth_samples, other.growth_samples])
-        return out
+    def _absorb(self, chunks) -> None:
+        """Fold chunk results, in run order, into this aggregate."""
+        empirical, growth = [self.empirical_samples], [self.growth_samples]
+        for chunk in chunks:
+            self.runs += chunk["runs"]
+            self.root_histogram.update(chunk["roots"])
+            for i, c in chunk["gaps"].items():
+                self.gap_histograms[i].update(c)
+            empirical.append(chunk["empirical"])
+            growth.append(chunk["growth"])
+        self.empirical_samples = np.concatenate(empirical)
+        self.growth_samples = np.concatenate(growth)
 
     # ---- integer statistics -------------------------------------------------
 
@@ -315,6 +309,28 @@ class EnsembleStats:
         counts, edges = np.histogram(samples, bins=200, range=(m - 5 * sd, m + 5 * sd))
         return edges, counts
 
+    def histogram_series(self, statistic: str, i: int | None = None) -> list[tuple]:
+        """Histogram as (bin, count) pairs: sorted (value, count) for integer
+        statistics, (bin centre formatted with ".10g", count) for real ones."""
+        if statistic in (STAT_ROOTS, STAT_GAPS):
+            return list(self.histogram(statistic, i).items())
+        edges, counts = self.histogram(statistic)
+        centers = (edges[:-1] + edges[1:]) / 2
+        return [(format(b, ".10g"), int(c)) for b, c in zip(centers, counts)]
+
+    def write_histogram_csv(self, path, statistic: str, i: int | None = None) -> None:
+        """One statistic's histogram as CSV: "# key=value" config lines, then
+        "statistic,bin,count" rows labelled with the statistic (gaps[i])."""
+        label = f"gaps[{i}]" if statistic == STAT_GAPS else statistic
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            for key, value in sorted(self.config.to_json_dict().items()):
+                fh.write(f"# {key}={value}\n")
+            fh.write("statistic,bin,count\n")
+            for b, c in self.histogram_series(statistic, i):
+                fh.write(f"{label},{b},{c}\n")
+
     def summary_dict(self) -> dict:
         """Self-describing summary (deterministic for a fixed config)."""
         stats: dict[str, dict] = {}
@@ -339,18 +355,14 @@ class EnsembleStats:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Run the configured ensemble; bitwise reproducible for fixed config."""
     started = time.perf_counter()
-    bounds = [(s, min(s + CHUNK_SIZE, cfg.runs)) for s in range(0, cfg.runs, CHUNK_SIZE)]
+    starts = range(0, cfg.runs, CHUNK_SIZE)
+    stops = [min(s + CHUNK_SIZE, cfg.runs) for s in starts]
     stats = EnsembleStats(cfg)
-    if cfg.workers == 1 or len(bounds) == 1:
-        chunks = (_simulate_chunk(cfg, a, b) for a, b in bounds)
-        for (a, b), chunk in zip(bounds, chunks):
-            stats._absorb_chunk(chunk, b - a)
+    if cfg.workers == 1 or len(starts) == 1:
+        stats._absorb(map(_simulate_chunk, repeat(cfg), starts, stops))
     else:
+        # Executor.map yields the results in submission order, i.e. run order
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_simulate_chunk, cfg, a, b) for a, b in bounds]
-            results = [f.result() for f in futures]
-        results.sort(key=lambda c: c["start"])
-        for (a, b), chunk in zip(bounds, results):
-            stats._absorb_chunk(chunk, b - a)
+            stats._absorb(pool.map(_simulate_chunk, repeat(cfg), starts, stops))
     stats.runtime_seconds = time.perf_counter() - started
     return stats

@@ -219,7 +219,3 @@ class RationalFunctionSeries:
                 acc -= den[j] * out[n - j]
             out.append(acc / d0)
         return tuple(out)
-
-
-def series_coefficients(f: RationalFunctionSeries, count: int) -> tuple[Fraction, ...]:
-    return f.coefficients(count)

@@ -60,10 +60,12 @@ __all__ = [
     "pole_position",
 ]
 
-# The highest layer W_n reached so far; a request below it restarts from W_1.
+# Two layers (n, W_n) are held: the highest reached so far and the last one
+# returned below it. A request starts from the higher of the two that is not
+# above it, so walking widths upward below the top costs one step per width.
 # Every layer up to K=1500 held at once would take about 600 MiB.
-_top_width = 1
-_top_counts: tuple[int, ...] = (1,)
+_top: tuple[int, tuple[int, ...]] = (1, (1,))
+_last: tuple[int, tuple[int, ...]] = (1, (1,))
 _pgf_cache: dict[int, RationalPolynomial] = {}
 
 
@@ -80,15 +82,20 @@ def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
 
 def aux_root_counts(K: int) -> tuple[int, ...]:
     """Coefficients of W_K = K! * L_K: first-hit orders by root count."""
-    global _top_width, _top_counts
+    global _top, _last
     if K < 0:
         raise ValueError(f"width must be non-negative, got {K}")
-    n, counts = (_top_width, _top_counts) if K >= _top_width else (1, (1,))
+    if K < 2:
+        return (1,)                           # W_0 = W_1 = 1
+    n, counts = max((layer for layer in (_top, _last) if layer[0] <= K),
+                    key=lambda layer: layer[0], default=(1, (1,)))
     while n < K:
         counts = _insert_largest(n, counts)
         n += 1
-    if K > _top_width:
-        _top_width, _top_counts = K, counts
+    if K >= _top[0]:
+        _top = (K, counts)
+    else:
+        _last = (K, counts)
     return counts
 
 

@@ -31,7 +31,6 @@ import pytest
 
 from stripdep.ensemble import (
     EnsembleConfig,
-    EnsembleStats,
     height_growth_estimate,
     normalized_ks_statistic,
     run_ensemble,
@@ -270,26 +269,6 @@ def test_criterion_8_growth_conjecture_report():
 # histogram CSVs at the reference parameters (200k runs)
 # --------------------------------------------------------------------------
 
-def _write_histogram_csv(path: Path, label: str, series, config: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for key, value in sorted(config.items()):
-            fh.write(f"# {key}={value}\n")
-        fh.write("statistic,bin,count\n")
-        for b, c in series:
-            fh.write(f"{label},{b},{c}\n")
-
-
-def _int_series(stats: EnsembleStats, stat: str, i=None):
-    return sorted(stats.histogram(stat, i).items())
-
-
-def _real_series(stats: EnsembleStats, stat: str):
-    edges, counts = stats.histogram(stat)
-    centers = (edges[:-1] + edges[1:]) / 2
-    return [(format(b, ".10g"), int(c)) for b, c in zip(centers, counts)]
-
-
 def test_figure_histogram_csvs(big_ensemble):
     plans = [
         (100, ("roots", "empirical_gap_average")),
@@ -303,23 +282,16 @@ def test_figure_histogram_csvs(big_ensemble):
             K=K, runs=RUNS, base_seed=BASE_SEED, statistics=statistics))
     written = []
     for K, stats in ensembles.items():
-        cfg = stats.config.to_json_dict()
+        for s in ("roots", "empirical_gap_average"):
+            if s in stats.config.statistics:
+                written.append(ARTIFACTS / f"{s}_hist_K{K}.csv")
+                stats.write_histogram_csv(written[-1], s)
         if "roots" in stats.config.statistics:
-            path = ARTIFACTS / f"roots_hist_K{K}.csv"
-            series = _int_series(stats, "roots")
-            _write_histogram_csv(path, "roots", series, cfg)
-            assert sum(c for _, c in series) == RUNS
-            written.append(path)
-        if "empirical_gap_average" in stats.config.statistics:
-            path = ARTIFACTS / f"empirical_gap_average_hist_K{K}.csv"
-            _write_histogram_csv(path, "empirical_gap_average",
-                                 _real_series(stats, "empirical_gap_average"), cfg)
-            written.append(path)
+            assert sum(c for _, c in stats.histogram_series("roots")) == RUNS
     for i in range(1, 7):
         path = ARTIFACTS / f"gap{i}_hist_K1500.csv"
-        series = _int_series(big_ensemble, "gaps", i)
-        _write_histogram_csv(path, f"gaps[{i}]", series, big_ensemble.config.to_json_dict())
-        assert sum(c for _, c in series) == RUNS
+        big_ensemble.write_histogram_csv(path, "gaps", i)
+        assert sum(c for _, c in big_ensemble.histogram_series("gaps", i)) == RUNS
         written.append(path)
     assert all(p.exists() for p in written)
     report("histogram CSVs (reference parameters)", True,

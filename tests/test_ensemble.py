@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from stripdep.cli import main
 from stripdep.ensemble import (
     EnsembleConfig,
     EnsembleConfigError,
@@ -171,14 +173,57 @@ def test_real_histogram_binning():
     assert counts.sum() <= 5000
 
 
-def test_merge_combines_partials():
-    cfg = EnsembleConfig(K=10, runs=1000, base_seed=14,
-                         statistics=("roots", "empirical_gap_average"))
-    stats = run_ensemble(cfg)
-    merged = stats.merge(stats)
-    assert merged.runs == 2000
-    assert sum(merged.root_histogram.values()) == 2000
-    assert merged.empirical_samples.shape == (2000,)
+def test_write_histogram_csv_format(tmp_path):
+    stats = run_ensemble(EnsembleConfig(K=12, runs=50, base_seed=3, gap_lengths=(2,),
+                                        statistics=("gaps", "empirical_gap_average")))
+    header = ["# K=12", "# base_seed=3", "# gap_lengths=[2]", "# growth_steps=0",
+              "# mode=cyclic", "# runs=50",
+              "# statistics=['gaps', 'empirical_gap_average']", "# workers=1",
+              "statistic,bin,count"]
+    path = tmp_path / "new" / "gaps.csv"
+    stats.write_histogram_csv(path, "gaps", 2)
+    text = path.read_bytes().decode()
+    assert "\r" not in text and text.endswith("\n")
+    assert text.split("\n")[:-1] == header + [
+        f"gaps[2],{v},{c}" for v, c in sorted(stats.gap_histograms[2].items())]
+
+    path = tmp_path / "average.csv"
+    stats.write_histogram_csv(path, "empirical_gap_average")
+    text = path.read_bytes().decode()
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.split("\n")[:-1]
+    assert lines[:len(header)] == header
+    rows = [line.split(",") for line in lines[len(header):]]
+    edges, counts = stats.histogram("empirical_gap_average")
+    assert [r[0] for r in rows] == ["empirical_gap_average"] * 200
+    assert rows[0][1] == format((edges[0] + edges[1]) / 2, ".10g")
+    assert [int(r[2]) for r in rows] == counts.tolist()
+
+
+# One tiny ensemble whose histograms, sample buffers and CSV output are pinned
+# as recorded. A change to the per-run streams (numpy's PCG64 or SeedSequence,
+# or the order of draws within a run) fails here before it reaches a
+# statistical gate.
+GOLDEN = dict(K=12, runs=64, base_seed=5, gap_lengths=(1, 2), growth_steps=200,
+              statistics=("roots", "gaps", "empirical_gap_average", "height_growth"))
+
+
+def test_golden_small_ensemble(capsys):
+    stats = run_ensemble(EnsembleConfig(**GOLDEN))
+    assert stats.histogram_series("roots") == [(2, 1), (3, 15), (4, 35), (5, 13)]
+    assert stats.histogram_series("gaps", 1) == [(0, 9), (1, 26), (2, 15), (3, 12), (4, 2)]
+    assert stats.histogram_series("gaps", 2) == [(0, 19), (1, 14), (2, 30), (4, 1)]
+    samples = stats.empirical_samples.tobytes() + stats.growth_samples.tobytes()
+    assert hashlib.sha256(samples).hexdigest() == (
+        "8cc7ac13c8382bc6dcaa804c12761639a2c65334525addae3dc3fe34af7ccf7f")
+
+    # the CSV header names the numpy version, so any numpy upgrade fails here
+    assert main("simulate --K 12 --runs 64 --seed 5 --stat roots --stat gaps --i 1 --i 2 "
+                "--stat empirical-gap-average --stat height-growth --n-steps 200 "
+                "--format csv".split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7bbf3453ecd06bfc1c7c996dcecc725bb4800fd0382d67adf1b0b000dcf8a848")
 
 
 def test_summary_embeds_config_and_generator():

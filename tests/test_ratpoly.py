@@ -7,7 +7,6 @@ from stripdep.ratpoly import (
     RationalFunctionSeries,
     RationalPolynomial as P,
     pgf_moments,
-    series_coefficients,
 )
 
 
@@ -80,7 +79,7 @@ def test_moment_summary_invariant_enforced():
 
 def test_geometric_series():
     f = RationalFunctionSeries(P.one(), P([1, -1]))
-    assert series_coefficients(f, 4) == (1, 1, 1, 1)
+    assert f.coefficients(4) == (1, 1, 1, 1)
 
 
 def test_series_with_numerator_and_pole_order_two():

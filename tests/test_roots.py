@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripdep import roots
 from stripdep.oracle import enumerate_root_distribution
 from stripdep.process import BoundaryMode
 from stripdep.ratpoly import RationalPolynomial as P
@@ -125,8 +126,26 @@ def test_insertion_engine_equals_first_step_recursion_to_110():
         counts = aux_root_counts(K)
         assert counts == reference[K]
         assert sum(counts) == math.factorial(K)
-    # a width below the highest layer reached restarts from W_1
+    # a width below the highest layer reached starts from a held layer
     assert aux_root_counts(5) == reference[5] == (16, 88, 16)
+
+
+def test_widths_below_the_top_layer_start_from_the_nearest_held_layer(monkeypatch):
+    monkeypatch.setattr(roots, "_top", (1, (1,)))
+    monkeypatch.setattr(roots, "_last", (1, (1,)))
+    steps = []
+    insert = roots._insert_largest
+    monkeypatch.setattr(roots, "_insert_largest",
+                        lambda n, counts: steps.append(n) or insert(n, counts))
+    aux_root_counts(500)
+    assert len(steps) == 499
+    steps.clear()
+    reference = first_step_root_counts(60)
+    for K in range(10, 61):
+        assert aux_root_counts(K) == reference[K]
+    # W_1 -> W_10, then one insertion per width; restarting every width from
+    # W_1 would take 1,734
+    assert len(steps) == 59
 
 
 @settings(max_examples=30, deadline=None)
