@@ -7,6 +7,15 @@ Root/gap statistics use the first-hit permutation fast path (uniform random
 permutation, roots = sites ranked before both neighbors), which the test
 suite validates against the full height simulation; the height-growth
 statistic is the one consumer that needs real heights.
+
+Runs are drawn into ``(BLOCK, K)`` blocks of first-hit ranks: each row is
+its run's own stream shuffling ``arange(K)``, the same draw as
+``Generator.permutation(K)``, so blocking, like chunking, changes no sample.
+One kernel (`block_tallies`) then finds the roots and tallies the requested
+gap lengths of the whole block with a few numpy calls, and each chunk
+reduces its per-run counts to histograms once.
+`process.roots_from_permutation` and `process.gap_vector` stay the
+independent per-run reference that the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .process import MAX_STEPS, MIN_WIDTH, BoundaryMode, RootSet
 
@@ -33,6 +41,11 @@ VALID_STATISTICS = (STAT_ROOTS, STAT_GAPS, STAT_EMPIRICAL, STAT_GROWTH)
 # chunk size is part of the reproducibility contract only in so far as the
 # per-run streams are not, i.e. not at all.
 CHUNK_SIZE = 4096
+
+# Rows of first-hit ranks per kernel call. At K=1500 the int32 block takes
+# 375 KiB and the kernel's temporaries stay under 1 MiB; much larger blocks
+# measured slower.
+BLOCK = 64
 
 GENERATOR_ID = f"numpy {np.__version__} PCG64 / SeedSequence(base_seed, spawn_key=(run,))"
 
@@ -117,6 +130,7 @@ def normalized_ks_statistic(samples, mean: float, sd: float) -> float:
         raise ValueError("samples must be non-empty")
     if not np.isfinite(sd) or sd <= 0:
         raise ValueError(f"standard deviation must be positive and finite, got {sd}")
+    from scipy.special import ndtr     # scipy costs most of this module's import time
     z = np.sort((arr - mean) / sd)
     cdf = ndtr(z)
     n = z.size
@@ -158,58 +172,103 @@ def height_growth_estimate(K: int, n_steps: int, rng: np.random.Generator) -> fl
     return _run_growth(K, n_steps, rng)
 
 
+def root_mask(ranks: np.ndarray, mode: BoundaryMode) -> np.ndarray:
+    """Roots of each row of a ``(B, K)`` block of first-hit ranks: the sites
+    ranked before both neighbours. Cyclic neighbours wrap around the row;
+    in AUXILIARY mode sites 1 and K are never roots."""
+    mask = np.zeros(ranks.shape, dtype=bool)
+    mid = ranks[:, 1:-1]
+    np.logical_and(mid < ranks[:, :-2], mid < ranks[:, 2:], out=mask[:, 1:-1])
+    if mode is BoundaryMode.CYCLIC:
+        first, last = ranks[:, 0], ranks[:, -1]
+        mask[:, 0] = (first < last) & (first < ranks[:, 1])
+        mask[:, -1] = (last < ranks[:, -2]) & (last < first)
+    return mask
+
+
+def block_tallies(ranks: np.ndarray, mode: BoundaryMode,
+                  gap_lengths: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Root count of each row of a ``(B, K)`` block of first-hit ranks, and
+    ``(B, len(gap_lengths))`` counts of the gaps of each distinct requested
+    length (cyclic mode; the pair wrapping around the row included)."""
+    mask = root_mask(ranks, mode)
+    cards = np.count_nonzero(mask, axis=1)
+    B, K = ranks.shape
+    G = len(gap_lengths)
+    if not G:
+        return cards, np.zeros((B, 0), dtype=np.int64)
+    if mode is not BoundaryMode.CYCLIC:
+        raise ValueError("gap tallies are defined for the cyclic process only")
+    if not cards.all():
+        raise ValueError("a row without roots: ranks must be permutations")
+    # Root positions in the flat block run row by row, so each root's next
+    # root is the next position, except that a row's last root wraps to the
+    # row's first root + K. A gap of length i spans a distance of i + 1.
+    # The arrays below are worked in place: fresh ones this size, freed on
+    # every block, are handed back to the system and fault in again.
+    pos = np.flatnonzero(mask)
+    last = np.cumsum(cards) - 1
+    dist = np.empty_like(pos)
+    np.subtract(pos[1:], pos[:-1], out=dist[:-1])
+    dist[last] = pos[last - cards + 1] + K - pos[last]
+    del pos
+    if __debug__:
+        # no two roots are adjacent, and a lone root's gap spans the row (K >= 3)
+        assert dist.min() >= 2
+    column = np.full(K + 1, G)
+    column[np.add(gap_lengths, 1)] = np.arange(G)
+    key = np.take(column, dist, out=dist)
+    key += np.repeat(np.arange(0, B * (G + 1), G + 1), cards)
+    tally = np.bincount(key, minlength=B * (G + 1))
+    return cards, tally.reshape(B, G + 1)[:, :G]
+
+
+def _histogram(values: np.ndarray) -> Counter:
+    keys, counts = np.unique(values, return_counts=True)
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+
+
 def _simulate_chunk(cfg: EnsembleConfig, start: int, stop: int) -> dict:
     """Simulate runs [start, stop); pure function of its arguments."""
     K = cfg.K
-    cyclic = cfg.mode is BoundaryMode.CYCLIC
     want_roots = STAT_ROOTS in cfg.statistics
     want_gaps = STAT_GAPS in cfg.statistics
     want_emp = STAT_EMPIRICAL in cfg.statistics
     want_growth = STAT_GROWTH in cfg.statistics
     needs_perm = want_roots or want_gaps or want_emp
+    lengths = tuple(dict.fromkeys(cfg.gap_lengths)) if want_gaps else ()
 
-    root_hist: Counter = Counter()
-    gap_hists = {i: Counter() for i in cfg.gap_lengths}
-    emp_samples = []
+    n = stop - start
+    cards = np.zeros(n, dtype=np.int64)
+    gaps = np.zeros((n, len(lengths)), dtype=np.int64)
     growth_samples = []
+    block = np.empty((BLOCK, K), dtype=np.int32)
 
-    for j in range(start, stop):
-        rng = run_stream(cfg.base_seed, j)
+    for lo in range(0, n, BLOCK):
+        rows = block[:min(BLOCK, n - lo)]
         if needs_perm:
-            ranks = rng.permutation(K)
-            if cyclic:
-                minima = (ranks < np.roll(ranks, 1)) & (ranks < np.roll(ranks, -1))
-            else:
-                minima = np.zeros(K, dtype=bool)
-                interior = (ranks[1:-1] < ranks[:-2]) & (ranks[1:-1] < ranks[2:])
-                minima[1:-1] = interior
-            card = int(np.count_nonzero(minima))
-            if want_roots:
-                root_hist[card] += 1
-            if want_gaps or want_emp:
-                if want_gaps:
-                    positions = np.flatnonzero(minima)
-                    dists = np.diff(positions)
-                    wrap = K - (int(positions[-1]) - int(positions[0]))
-                    if __debug__:
-                        # the card circular gaps partition the ring and no
-                        # two roots are adjacent
-                        assert wrap >= 2 or card == 1
-                        assert card == 1 or int(dists.min()) >= 2
-                    for i in cfg.gap_lengths:
-                        v = int(np.count_nonzero(dists == i + 1)) + (wrap == i + 1)
-                        gap_hists[i][v] += 1
-                if want_emp:
-                    emp_samples.append(K / card - 1.0)
-        if want_growth:
-            # continues the same per-run stream after any permutation draw
-            growth_samples.append(_run_growth(K, cfg.growth_steps, rng))
+            rows[:] = np.arange(K, dtype=np.int32)
+        for r, row in enumerate(rows):
+            rng = run_stream(cfg.base_seed, start + lo + r)
+            if needs_perm:
+                # Generator.permutation(K) is exactly this shuffle of arange(K);
+                # shuffle draws the same numbers whatever the item size
+                rng.shuffle(row)
+            if want_growth:
+                # continues the same per-run stream after any permutation draw
+                growth_samples.append(_run_growth(K, cfg.growth_steps, rng))
+        if needs_perm:
+            hi = lo + len(rows)
+            cards[lo:hi], gaps[lo:hi] = block_tallies(rows, cfg.mode, lengths)
 
+    gap_hists = {i: Counter() for i in cfg.gap_lengths}
+    for i in cfg.gap_lengths:            # a repeated length is tallied once per repeat
+        gap_hists[i].update(_histogram(gaps[:, lengths.index(i)]))
     return {
-        "runs": stop - start,
-        "roots": root_hist,
+        "runs": n,
+        "roots": _histogram(cards) if want_roots else Counter(),
         "gaps": gap_hists,
-        "empirical": np.asarray(emp_samples, dtype=np.float64),
+        "empirical": K / cards - 1.0 if want_emp else np.empty(0, dtype=np.float64),
         "growth": np.asarray(growth_samples, dtype=np.float64),
     }
 

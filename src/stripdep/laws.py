@@ -4,6 +4,7 @@ check to ``(name, ok, detail)`` triples in a fixed order."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .gaps import abc_degree, abc_recursion, gap_distribution, gap_moments
@@ -14,7 +15,7 @@ from .oracle import (
     enumerate_root_distribution,
 )
 from .process import BoundaryMode
-from .ratpoly import RationalFunctionSeries, RationalPolynomial, pgf_moments
+from .ratpoly import RationalFunctionSeries, RationalPolynomial
 from .roots import aux_root_counts, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
 
 
@@ -23,21 +24,27 @@ def _check(checks, name, ok, detail=""):
 
 
 def suite_roots(kmax: int) -> list[tuple[str, bool, str]]:
+    """Moments from the integer counts W_n = n! * L_n: the cyclic root count
+    of width K is one more than the auxiliary count of width K - 1."""
     checks = []
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
     ok_mean = ok_var = ok_norm = ok_deg = True
     detail = ""
     for K in range(3, kmax + 1):
-        pgf = cyclic_root_pgf(K)
-        m = pgf_moments(pgf)
-        if m.mean != Fraction(K, 3):
-            ok_mean, detail = False, f"K={K}: mean {m.mean}"
+        counts = aux_root_counts(K - 1)
+        total = math.factorial(K - 1)
+        mean = Fraction(sum(d * w for d, w in enumerate(counts, start=1)), total)
+        variance = Fraction(sum(d * d * w for d, w in enumerate(counts, start=1)),
+                            total) - mean**2
+        if mean != Fraction(K, 3):
+            ok_mean, detail = False, f"K={K}: mean {mean}"
         expect = variance_law.get(K, Fraction(2 * K, 45))
-        if m.variance != expect:
-            ok_var, detail = False, f"K={K}: variance {m.variance} != {expect}"
-        if aux_root_pgf(K).sum_of_coefficients() != 1:
+        if variance != expect:
+            ok_var, detail = False, f"K={K}: variance {variance} != {expect}"
+        counts = aux_root_counts(K)
+        if sum(counts) != math.factorial(K):
             ok_norm = False
-        if aux_root_pgf(K).degree != (K - 1) // 2:
+        if len(counts) - 1 != (K - 1) // 2:
             ok_deg = False
     _check(checks, f"root-count mean K/3 for K=3..{kmax}", ok_mean, detail)
     _check(checks, f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}",

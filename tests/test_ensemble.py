@@ -1,21 +1,36 @@
 import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from stripdep.cli import main
 from stripdep.ensemble import (
+    BLOCK,
+    CHUNK_SIZE,
     EnsembleConfig,
     EnsembleConfigError,
+    block_tallies,
     empirical_gap_average,
     height_growth_estimate,
     normalized_ks_statistic,
+    root_mask,
     run_ensemble,
     run_stream,
 )
-from stripdep.process import BoundaryMode, RootSet
+from stripdep.process import (
+    BoundaryMode,
+    FirstHitPermutation,
+    RootSet,
+    first_hit_ranks,
+    gap_vector,
+    roots_from_permutation,
+    simulate_final_roots,
+)
 
 C = BoundaryMode.CYCLIC
 A = BoundaryMode.AUXILIARY
@@ -224,6 +239,114 @@ def test_golden_small_ensemble(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7bbf3453ecd06bfc1c7c996dcecc725bb4800fd0382d67adf1b0b000dcf8a848")
+
+
+# Two chunks, the second ending in a block shorter than BLOCK; pinned from the
+# per-run loop that the block kernel replaced. The run count is CHUNK_SIZE + 70
+# at CHUNK_SIZE = 4096.
+GOLDEN_CHUNKS = dict(K=60, runs=4166, base_seed=17, gap_lengths=(1, 2, 3), growth_steps=50,
+                     statistics=("roots", "gaps", "empirical_gap_average", "height_growth"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_ensemble_across_blocks_and_chunks(workers):
+    runs = GOLDEN_CHUNKS["runs"]
+    assert CHUNK_SIZE < runs <= 2 * CHUNK_SIZE and (runs - CHUNK_SIZE) % BLOCK
+    stats = run_ensemble(EnsembleConfig(workers=workers, **GOLDEN_CHUNKS))
+    hists = [stats.histogram_series("roots")] + [
+        stats.histogram_series("gaps", i) for i in GOLDEN_CHUNKS["gap_lengths"]]
+    digest = lambda b: hashlib.sha256(b).hexdigest()
+    assert digest(json.dumps(hists).encode()) == (
+        "c09a340027a3da18ba78da1b991f343539ca4ba6bccecee30685b6bea7bf7054")
+    assert digest(stats.empirical_samples.tobytes()) == (
+        "3b2d6b576ad63b90db01e6c1982480265c92c998f5778abf0d1875c51bafdae1")
+    assert digest(stats.growth_samples.tobytes()) == (
+        "54621a13963e012f3bc9947d91810b7116c7be7356609a7dbdfbe09ca2d091d8")
+
+
+def _one_root_ranks(rng, K):
+    """0-based ranks of a ring with a single root: each later rank extends
+    the arc of ranked sites at one of its two ends."""
+    ranks = np.empty(K, dtype=np.int64)
+    lo = hi = int(rng.integers(K))
+    ranks[lo] = 0
+    for r in range(1, K):
+        if rng.random() < 0.5:
+            hi += 1
+            ranks[hi % K] = r
+        else:
+            lo -= 1
+            ranks[lo % K] = r
+    return ranks
+
+
+def _reference(ranks, mode):
+    return roots_from_permutation(FirstHitPermutation(len(ranks), tuple(int(r) + 1 for r in ranks)),
+                                  mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(3, 200), rows=st.integers(1, BLOCK), mode=st.sampled_from(list(BoundaryMode)),
+       one_root_share=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_block_kernel_matches_per_run_reference(K, rows, mode, one_root_share, seed, data):
+    lengths = ()
+    if mode is BoundaryMode.CYCLIC:
+        lengths = tuple(data.draw(st.lists(st.integers(1, K - 1), min_size=1, max_size=8,
+                                           unique=True)))
+    rng = np.random.default_rng(seed)
+    ranks = np.array([_one_root_ranks(rng, K) if rng.random() < one_root_share
+                      else rng.permutation(K) for _ in range(rows)])
+    mask = root_mask(ranks, mode)
+    cards, tallies = block_tallies(ranks, mode, lengths)
+    assert tallies.shape == (rows, len(lengths))
+    for row, row_mask, card, tally in zip(ranks, mask, cards, tallies):
+        roots = _reference(row, mode)
+        assert tuple((np.flatnonzero(row_mask) + 1).tolist()) == roots.roots
+        assert card == roots.card
+        if lengths:
+            assert tally.tolist() == [gap_vector(roots).count(i) for i in lengths]
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(3, 80), runs=st.integers(1, 3 * BLOCK), mode=st.sampled_from(list(BoundaryMode)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ensemble_matches_per_run_permutations(K, runs, mode, seed):
+    cyclic = mode is BoundaryMode.CYCLIC
+    lengths = (1, K - 1, (K + 1) // 2) if cyclic and K > 3 else ()
+    statistics = ("roots", "gaps", "empirical_gap_average") if lengths else ("roots",)
+    stats = run_ensemble(EnsembleConfig(K=K, mode=mode, runs=runs, base_seed=seed,
+                                        statistics=statistics, gap_lengths=lengths))
+    roots = [_reference(run_stream(seed, j).permutation(K), mode) for j in range(runs)]
+    assert stats.root_histogram == Counter(r.card for r in roots)
+    for i in lengths:
+        assert stats.gap_histograms[i] == Counter(gap_vector(r).count(i) for r in roots)
+    if lengths:
+        assert stats.empirical_samples.tolist() == [empirical_gap_average(r) for r in roots]
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(3, 200), mode=st.sampled_from(list(BoundaryMode)),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_kernel_root_rule_matches_height_simulation(K, mode, seed):
+    roots, gaps = simulate_final_roots(K, mode, np.random.default_rng(seed))
+    replay = np.random.default_rng(seed)       # the same targets, drawn the same way
+    targets = []
+    while len(set(targets)) < K:
+        targets += (replay.integers(0, K, size=min(4 * K, 1 << 16)) + 1).tolist()
+    ranks = np.array([first_hit_ranks(targets, K).ranks])
+    assert tuple((np.flatnonzero(root_mask(ranks, mode)[0]) + 1).tolist()) == roots.roots
+    if mode is BoundaryMode.CYCLIC:
+        cards, tallies = block_tallies(ranks, mode, tuple(range(1, K)))
+        assert cards[0] == roots.card
+        assert tuple(tallies[0].tolist()) == gaps.counts
+
+
+def test_block_kernel_rejects_gaps_it_cannot_tally():
+    with pytest.raises(ValueError):
+        block_tallies(np.array([[2, 0, 1, 3]]), BoundaryMode.AUXILIARY, (1,))
+    with pytest.raises(ValueError):                 # tied ranks, no root
+        block_tallies(np.array([[2, 0, 1, 3], [1, 1, 1, 1]]), BoundaryMode.CYCLIC, (1,))
 
 
 def test_summary_embeds_config_and_generator():
