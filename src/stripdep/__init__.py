@@ -39,13 +39,10 @@ from .process import (
     BoundaryMode,
     FirstHitPermutation,
     GapVector,
-    HeightField,
     RootSet,
     deposit,
     first_hit_ranks,
     gap_vector,
-    height_profile_stats,
-    neighbor_set,
     roots_from_permutation,
     simulate_final_roots,
 )

@@ -168,9 +168,18 @@ def _apply_config_file(path, subparsers):
         if key not in _CONFIG_KEYS:
             raise EnsembleConfigError(f"unknown config key {key!r}")
         dest = key.replace("-", "_")
+        value = _CONFIG_KEYS[key](raw)
         for p in subparsers.values():
-            if any(a.dest == dest for a in p._actions):
-                p.set_defaults(**{dest: _CONFIG_KEYS[key](raw)})
+            for action in p._actions:
+                if action.dest != dest:
+                    continue
+                # defaults skip argparse's choices check, so make it here
+                for v in value if isinstance(value, list) else [value]:
+                    if action.choices is not None and v not in action.choices:
+                        raise EnsembleConfigError(
+                            f"config key {key}: invalid choice {v!r} "
+                            f"(choose from {', '.join(action.choices)})")
+                p.set_defaults(**{dest: value})
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +268,8 @@ def _cmd_exact_roots(args) -> int:
 
 def _cmd_exact_gaps(args) -> int:
     lengths = args.i or [1]
+    if min(lengths) < 1:
+        raise EnsembleConfigError(f"gap lengths must be >= 1, got {lengths}")
     results = []
     for i in lengths:
         for K in _k_range(args):
@@ -326,16 +337,22 @@ _COMMANDS = {
 }
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parsed arguments: explicit flags, else config-file values, else defaults."""
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # the file sets the sub-commands' defaults; parse again so that
+        # explicit flags, in any spelling argparse accepts, still win
+        _apply_config_file(args.config, subparsers)
+        args = parser.parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            # the file sets the sub-commands' defaults; parse again so that
-            # explicit flags, in any spelling argparse accepts, still win
-            _apply_config_file(args.config, subparsers)
-            args = parser.parse_args(argv)
+        args = parse_args(argv)
         return _COMMANDS[args.command](args)
     except (EnsembleConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ configuration: chunking and worker count cannot change a single sample.
 Root/gap statistics use the first-hit permutation fast path (uniform random
 permutation, roots = sites ranked before both neighbors), which the test
 suite validates against the full height simulation; the height-growth
-statistic is the one consumer that needs real heights.
+statistic is the one consumer that needs real heights, and it runs them on
+`process.deposit`, the package's one height update.
 
 Runs are drawn into ``(BLOCK, K)`` blocks of first-hit ranks: each row is
 its run's own stream shuffling ``arange(K)``, the same draw as
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .process import MAX_STEPS, MIN_WIDTH, BoundaryMode, RootSet
+from .process import MAX_STEPS, MIN_WIDTH, BoundaryMode, RootSet, _check_width, deposit
 
 STAT_ROOTS = "roots"
 STAT_GAPS = "gaps"
@@ -140,36 +141,16 @@ def normalized_ks_statistic(samples, mean: float, sd: float) -> float:
     return max(d_plus, d_minus)
 
 
-def _run_growth(K: int, steps: int, rng: np.random.Generator) -> float:
-    heights = [0] * K
-    hmax = 0
-    remaining = steps
-    while remaining:
-        block = min(remaining, 1 << 16)
-        for t in rng.integers(0, K, size=block).tolist():
-            # heights[t-1] wraps to heights[-1] at t=0: cyclic left neighbor
-            h = heights[t]
-            left = heights[t - 1]
-            right = heights[t + 1 if t + 1 < K else 0]
-            if left > h:
-                h = left
-            if right > h:
-                h = right
-            h += 1
-            heights[t] = h
-            if h > hmax:
-                hmax = h
-        remaining -= block
-    return hmax / steps
-
-
 def height_growth_estimate(K: int, n_steps: int, rng: np.random.Generator) -> float:
-    """max height / n after ``n_steps`` deposits of one cyclic run."""
-    if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+    """max height / n after ``n_steps`` deposits of one cyclic run. Heights
+    never decrease, so the largest height reached is the final maximum."""
+    _check_width(K)
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"need 1 <= n_steps <= 2**40, got {n_steps}")
-    return _run_growth(K, n_steps, rng)
+    heights = [0] * K
+    for done in range(0, n_steps, 1 << 16):
+        deposit(heights, rng.integers(0, K, size=min(n_steps - done, 1 << 16)).tolist())
+    return max(heights) / n_steps
 
 
 def root_mask(ranks: np.ndarray, mode: BoundaryMode) -> np.ndarray:
@@ -256,7 +237,7 @@ def _simulate_chunk(cfg: EnsembleConfig, start: int, stop: int) -> dict:
                 rng.shuffle(row)
             if want_growth:
                 # continues the same per-run stream after any permutation draw
-                growth_samples.append(_run_growth(K, cfg.growth_steps, rng))
+                growth_samples.append(height_growth_estimate(K, cfg.growth_steps, rng))
         if needs_perm:
             hi = lo + len(rows)
             cards[lo:hi], gaps[lo:hi] = block_tallies(rows, cfg.mode, lengths)

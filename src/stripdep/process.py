@@ -2,16 +2,21 @@
 
 A unit square drops onto a uniformly random site and sticks at one plus the
 maximum height over the site and its neighbors. Two boundary conventions are
-supported: CYCLIC wraps the strip into a ring; AUXILIARY pins two virtual
+supported: CYCLIC wraps the strip into a ring; AUXILIARY pins virtual
 boundary cells at height 1 outside sites 1 and K (so the strip is a path and
-the edge sites can never land on the surface).
+the edge sites can never land on the surface). Both are one ring to the
+height kernel `deposit`: the auxiliary strip is the K sites followed by a
+single cell pinned at height 1, which neighbours site 1 and site K.
 
 A site is a *root* when its first deposit lands at height 1, which happens
-exactly when the site is targeted before every neighbor. Final root sets are
-therefore determined by the order in which sites are first hit, and a uniform
-random permutation of first-hit ranks reproduces their distribution without
-simulating heights; `roots_from_permutation` is that fast path and
-`simulate_final_roots` is the full-height reference path.
+exactly when the site is targeted before every neighbor; no other deposit
+lands at height 1, so `deposit` reports the roots without tracking first
+hits. Final root sets are therefore determined by the order in which sites
+are first hit, and a uniform random permutation of first-hit ranks
+reproduces their distribution without simulating heights;
+`roots_from_permutation` is that fast path and `simulate_final_roots` is the
+full-height reference path. `deposit` is the only height update: the
+reference path and the growth estimate in `stripdep.ensemble` both call it.
 """
 
 from __future__ import annotations
@@ -42,57 +47,6 @@ def _check_site(k: int, K: int) -> None:
     _check_width(K)
     if not 1 <= k <= K:
         raise ValueError(f"site {k} out of range 1..{K}")
-
-
-def neighbor_set(k: int, K: int, mode: BoundaryMode) -> frozenset[int]:
-    """Sites whose heights a deposit at ``k`` sticks on top of (k included).
-
-    In AUXILIARY mode the result may contain the virtual boundary labels
-    0 and K+1.
-    """
-    _check_site(k, K)
-    if mode is BoundaryMode.CYCLIC:
-        left = K if k == 1 else k - 1
-        right = 1 if k == K else k + 1
-        return frozenset((left, k, right))
-    return frozenset((k - 1, k, k + 1))
-
-
-@dataclass(frozen=True)
-class HeightField:
-    """Height configuration after n deposits; value-semantic."""
-
-    K: int
-    mode: BoundaryMode
-    heights: tuple[int, ...]
-    n: int = 0
-
-    @classmethod
-    def empty(cls, K: int, mode: BoundaryMode) -> "HeightField":
-        _check_width(K)
-        return cls(K=K, mode=mode, heights=(0,) * K, n=0)
-
-    def height(self, j: int) -> int:
-        """Height at label j; virtual boundary cells report the pinned 1."""
-        if self.mode is BoundaryMode.AUXILIARY and j in (0, self.K + 1):
-            return 1
-        if not 1 <= j <= self.K:
-            raise ValueError(f"label {j} out of range for width {self.K}")
-        return self.heights[j - 1]
-
-
-def deposit(field: HeightField, target: int) -> HeightField:
-    """One deposition step at ``target``; returns the updated field."""
-    _check_site(target, field.K)
-    new_height = 1 + max(field.height(j) for j in neighbor_set(target, field.K, field.mode))
-    heights = list(field.heights)
-    heights[target - 1] = new_height
-    return HeightField(K=field.K, mode=field.mode, heights=tuple(heights), n=field.n + 1)
-
-
-def height_profile_stats(field: HeightField) -> tuple[int, float]:
-    """(max height, mean height) of the current profile."""
-    return max(field.heights), sum(field.heights) / field.K
 
 
 @dataclass(frozen=True)
@@ -202,33 +156,48 @@ def gap_vector(roots: RootSet) -> GapVector:
     return GapVector(K=K, counts=tuple(counts))
 
 
+def deposit(heights: list[int], targets) -> list[int]:
+    """Deposit on each 0-based target in turn, in place on the ring
+    ``heights``, and return the targets whose deposit landed at height 1.
+
+    A deposit lands at height 1 exactly when its site and both neighbours
+    are still empty, i.e. on a site's first hit before either neighbour's:
+    the returned targets are the roots. For the cyclic strip ``heights`` is
+    the K sites; for the auxiliary strip it is the K sites followed by one
+    cell pinned at height 1, never targeted, which the ring makes the
+    neighbour of both site 1 and site K."""
+    n = len(heights)
+    ones = []
+    for t in targets:
+        # heights[t-1] wraps to heights[-1] at t=0: the ring's left neighbour
+        h = heights[t]
+        left = heights[t - 1]
+        right = heights[t + 1 if t + 1 < n else 0]
+        if left > h:
+            h = left
+        if right > h:
+            h = right
+        h += 1
+        heights[t] = h
+        if h == 1:
+            ones.append(t)
+    return ones
+
+
 def simulate_final_roots(K: int, mode: BoundaryMode,
                          rng: np.random.Generator) -> tuple[RootSet, GapVector | None]:
     """Full-height simulation of the deposition chain until the root set is
     final, i.e. until every site has been targeted at least once (a site's
-    root status is decided at its first hit). Returns the root set and, in
-    cyclic mode, the gap vector."""
+    root status is decided at its first hit). Targets come in batches of
+    ``min(4K, 2**16)``; deposits after full coverage in the last batch cannot
+    land at height 1. Returns the root set and, in cyclic mode, the gap
+    vector."""
     _check_width(K)
-    heights = [0] * K
-    if mode is BoundaryMode.AUXILIARY:
-        left_of = lambda t: 1 if t == 0 else heights[t - 1]
-        right_of = lambda t: 1 if t == K - 1 else heights[t + 1]
-    else:
-        left_of = lambda t: heights[t - 1]
-        right_of = lambda t: heights[(t + 1) % K]
+    heights = [0] * K + ([1] if mode is BoundaryMode.AUXILIARY else [])
     roots = []
-    unhit = K
-    while unhit:
-        for t in rng.integers(0, K, size=min(4 * K, 1 << 16)).tolist():
-            h = max(heights[t], left_of(t), right_of(t)) + 1
-            if heights[t] == 0:
-                unhit -= 1
-                if h == 1:
-                    roots.append(t + 1)
-            heights[t] = h
-            if not unhit:
-                break
-    root_set = RootSet(K=K, mode=mode, roots=tuple(sorted(roots)))
+    while 0 in heights:
+        roots += deposit(heights, rng.integers(0, K, size=min(4 * K, 1 << 16)).tolist())
+    root_set = RootSet(K=K, mode=mode, roots=tuple(sorted(t + 1 for t in roots)))
     if mode is BoundaryMode.CYCLIC:
         return root_set, gap_vector(root_set)
     return root_set, None

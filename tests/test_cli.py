@@ -3,9 +3,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripdep import gaps
-from stripdep.cli import main
+from stripdep.cli import main, parse_args
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,14 @@ def test_exact_gaps_json(capsys):
 def test_exact_gaps_out_of_range(capsys):
     code, _, err = run_cli(capsys, "exact-gaps", "--K", "4", "--i", "9")
     assert code == 2
+
+
+def test_exact_gaps_range_rejects_nonpositive_length(capsys):
+    for i in ("0", "-1"):
+        code, out, err = run_cli(capsys, "exact-gaps", "--kmax", "6", "--i", i)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_oracle_json(capsys):
@@ -195,3 +204,50 @@ def test_gap_table_budget_guard_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "budget of 10" in err
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("mode=bogus", ("simulate", "--K", "5", "--runs", "3")),
+    ("suite=bogus", ("verify",)),
+    ("format=xml", ("exact-roots", "--K", "5")),
+])
+def test_config_file_value_outside_choices_exits_2(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "invalid choice" in err
+
+
+# config key -> (values it may take, parser default)
+_PRECEDENCE_KEYS = {
+    "K": (st.integers(3, 10**4), None),
+    "runs": (st.integers(1, 10**6), 200_000),
+    "seed": (st.integers(0, 2**63), 0),
+    "mode": (st.sampled_from(["cyclic", "aux"]), "cyclic"),
+    "format": (st.sampled_from(["json", "csv"]), "json"),
+}
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("precedence") / "run.cfg"
+
+
+@settings(max_examples=60, deadline=None)
+@given(chosen=st.fixed_dictionaries({
+    key: st.tuples(st.none() | values, st.none() | values)      # (file, flag)
+    for key, (values, _) in _PRECEDENCE_KEYS.items()}))
+def test_config_file_and_flag_precedence(config_path, chosen):
+    config_path.write_text("".join(f"{key}={in_file}\n" for key, (in_file, _) in chosen.items()
+                                   if in_file is not None))
+    argv = ["--config", str(config_path), "simulate"]
+    for key, (_, flag) in chosen.items():
+        if flag is not None:
+            argv += [f"--{key}", str(flag)]
+    args = parse_args(argv)
+    for key, (in_file, flag) in chosen.items():
+        default = _PRECEDENCE_KEYS[key][1]
+        expected = flag if flag is not None else in_file if in_file is not None else default
+        assert getattr(args, key) == expected

@@ -329,11 +329,13 @@ def test_ensemble_matches_per_run_permutations(K, runs, mode, seed):
 @given(K=st.integers(3, 200), mode=st.sampled_from(list(BoundaryMode)),
        seed=st.integers(0, 2**32 - 1))
 def test_block_kernel_root_rule_matches_height_simulation(K, mode, seed):
-    roots, gaps = simulate_final_roots(K, mode, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    roots, gaps = simulate_final_roots(K, mode, rng)
     replay = np.random.default_rng(seed)       # the same targets, drawn the same way
     targets = []
     while len(set(targets)) < K:
         targets += (replay.integers(0, K, size=min(4 * K, 1 << 16)) + 1).tolist()
+    assert rng.bit_generator.state == replay.bit_generator.state    # the same batches
     ranks = np.array([first_hit_ranks(targets, K).ranks])
     assert tuple((np.flatnonzero(root_mask(ranks, mode)[0]) + 1).tolist()) == roots.roots
     if mode is BoundaryMode.CYCLIC:

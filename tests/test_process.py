@@ -6,13 +6,10 @@ import pytest
 from stripdep.process import (
     BoundaryMode,
     FirstHitPermutation,
-    HeightField,
     RootSet,
     deposit,
     first_hit_ranks,
     gap_vector,
-    height_profile_stats,
-    neighbor_set,
     roots_from_permutation,
     simulate_final_roots,
 )
@@ -21,63 +18,49 @@ C = BoundaryMode.CYCLIC
 A = BoundaryMode.AUXILIARY
 
 
-def test_neighbor_set_examples():
-    assert neighbor_set(1, 8, C) == {8, 1, 2}
-    assert neighbor_set(5, 10, C) == {4, 5, 6}
-    assert neighbor_set(5, 10, A) == {4, 5, 6}
-    assert neighbor_set(8, 8, A) == {7, 8, 9}
-    assert neighbor_set(8, 8, C) == {7, 8, 1}
-    assert neighbor_set(1, 8, A) == {0, 1, 2}
-
-
-def test_neighbor_set_argument_errors():
-    with pytest.raises(ValueError):
-        neighbor_set(0, 8, C)
-    with pytest.raises(ValueError):
-        neighbor_set(9, 8, C)
-    with pytest.raises(ValueError):
-        neighbor_set(1, 2, C)
+def _strip(K, mode):
+    """Empty heights for ``deposit``: the auxiliary strip ends in the pin cell."""
+    return [0] * K + ([1] if mode is A else [])
 
 
 def test_deposit_on_empty_field():
-    f = deposit(HeightField.empty(5, C), 3)
-    assert f.heights == (0, 0, 1, 0, 0)
-    assert f.n == 1
+    heights = _strip(5, C)
+    assert deposit(heights, [2]) == [2]          # lands at height 1: a root
+    assert heights == [0, 0, 1, 0, 0]
 
 
 def test_deposit_sticks_on_neighbor():
-    f = HeightField(K=5, mode=C, heights=(0, 1, 0, 0, 0), n=1)
-    assert deposit(f, 3).heights[2] == 2
+    heights = [0, 1, 0, 0, 0]
+    assert deposit(heights, [2]) == []
+    assert heights[2] == 2
 
 
 def test_deposit_next_to_pinned_boundary():
-    f = deposit(HeightField.empty(5, A), 1)
-    assert f.heights[0] == 2
+    heights = _strip(5, A)
+    assert deposit(heights, [0]) == []
+    assert heights == [2, 0, 0, 0, 0, 1]
+    assert deposit(heights, [4]) == []           # the pin neighbours site K too
+    assert heights == [2, 0, 0, 0, 2, 1]
 
 
 def test_deposit_wraps_in_cyclic_mode():
-    f = HeightField(K=4, mode=C, heights=(0, 0, 0, 3), n=3)
-    assert deposit(f, 1).heights[0] == 4
+    heights = [0, 0, 0, 3]
+    assert deposit(heights, [0]) == []
+    assert heights[0] == 4
 
 
 def test_monotone_heights_single_change():
     rng = np.random.default_rng(5)
     for mode in (C, A):
-        f = HeightField.empty(7, mode)
-        for t in rng.integers(1, 8, size=200).tolist():
-            g = deposit(f, t)
-            assert g.n == f.n + 1
-            changed = [k for k in range(7) if g.heights[k] != f.heights[k]]
-            assert changed == [t - 1]
-            assert g.heights[t - 1] > f.heights[t - 1]
-            assert all(g.heights[k] >= f.heights[k] for k in range(7))
-            f = g
-
-
-def test_height_profile_stats():
-    assert height_profile_stats(HeightField.empty(4, C)) == (0, 0.0)
-    f = HeightField(K=4, mode=C, heights=(0, 1, 2, 0), n=3)
-    assert height_profile_stats(f) == (2, 0.75)
+        heights = _strip(7, mode)
+        for t in rng.integers(0, 7, size=200).tolist():
+            before = list(heights)
+            ones = deposit(heights, [t])
+            changed = [k for k in range(len(heights)) if heights[k] != before[k]]
+            assert changed == [t]
+            assert heights[t] > before[t]
+            assert all(h >= b for h, b in zip(heights, before))
+            assert ones == ([t] if heights[t] == 1 else [])
 
 
 def test_roots_from_permutation_examples():
@@ -99,14 +82,8 @@ def test_first_hit_ranks():
 
 
 def _simulate_roots_by_deposits(K, mode, targets):
-    field = HeightField.empty(K, mode)
-    roots = []
-    for t in targets:
-        first = field.heights[t - 1] == 0
-        field = deposit(field, t)
-        if first and field.heights[t - 1] == 1:
-            roots.append(t)
-    return tuple(sorted(roots))
+    heights = _strip(K, mode)
+    return tuple(sorted(t + 1 for t in deposit(heights, [t - 1 for t in targets])))
 
 
 def test_permutation_equivalence_exhaustive_small_widths():
