@@ -231,10 +231,14 @@ def _cmd_simulate(args) -> int:
 # exact engines
 # --------------------------------------------------------------------------
 
+def _check_kmax(kmax: int) -> None:
+    if kmax < 3:
+        raise EnsembleConfigError(f"--kmax must be >= 3, got {kmax}")
+
+
 def _k_range(args) -> list[int]:
     if args.kmax is not None:
-        if args.kmax < 3:
-            raise EnsembleConfigError(f"--kmax must be >= 3, got {args.kmax}")
+        _check_kmax(args.kmax)
         return list(range(3, args.kmax + 1))
     if args.K is None:
         raise EnsembleConfigError("need --K or --kmax")
@@ -270,14 +274,13 @@ def _cmd_exact_gaps(args) -> int:
     lengths = args.i or [1]
     if min(lengths) < 1:
         raise EnsembleConfigError(f"gap lengths must be >= 1, got {lengths}")
-    results = []
+    widths = _k_range(args)
     for i in lengths:
-        for K in _k_range(args):
-            if not 1 <= i <= K - 1:
-                if args.kmax is not None:
-                    continue          # range mode: skip widths below i+1
-                raise EnsembleConfigError(f"gap length {i} out of range 1..{K - 1}")
-            results.append(_exact_result(gap_distribution(i, K), i=i, K=K))
+        if i > widths[-1] - 1:
+            raise EnsembleConfigError(f"gap length {i} out of range 1..{widths[-1] - 1}")
+    # range mode skips the widths below i+1
+    results = [_exact_result(gap_distribution(i, K), i=i, K=K)
+               for i in lengths for K in widths if i <= K - 1]
     config = {"engine": "exact-gaps", "i_values": lengths,
               "K_values": sorted({r["K"] for r in results})}
     _write_exact(args, config, results, ("i", "K"))
@@ -308,6 +311,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.kmax is not None:
+        _check_kmax(args.kmax)
     lines = []
     failed = 0
     for name in names:

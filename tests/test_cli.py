@@ -109,6 +109,15 @@ def test_exact_gaps_range_rejects_nonpositive_length(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("--kmax", "4", "--i", "7"),
+                                  ("--kmax", "4", "--i", "1", "--i", "7")])
+def test_exact_gaps_range_rejects_length_beyond_every_width(capsys, argv):
+    code, out, err = run_cli(capsys, "exact-gaps", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: gap length 7 out of range 1..3\n"
+
+
 def test_oracle_json(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--K", "4")
     assert code == 0
@@ -139,6 +148,15 @@ def test_verify_tables_suite_cross_checks_root_engines(capsys):
 def test_verify_oracle_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "oracle", "--kmax", "11")
     assert code == 3
+
+
+@pytest.mark.parametrize("suite", ["roots", "gaps", "tables", "oracle", "all"])
+@pytest.mark.parametrize("kmax", ["1", "2"])
+def test_verify_rejects_kmax_below_three(capsys, suite, kmax):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --kmax must be >= 3, got {kmax}\n"
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,13 +1,20 @@
+import ast
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from stripdep import oracle
 from stripdep.gaps import gap_distribution
 from stripdep.oracle import (
     MAX_ENUMERATION_WIDTH,
     EnumerationLimitError,
+    _enumerate,
+    _order_blocks,
     enumerate_gap_distribution,
     enumerate_root_distribution,
 )
@@ -21,6 +28,27 @@ from stripdep.roots import aux_root_pgf, cyclic_root_pgf
 
 C = BoundaryMode.CYCLIC
 A = BoundaryMode.AUXILIARY
+
+
+def brute_force_counts(K, mode):
+    """The oracle's counts, one first-hit order at a time: roots by the
+    neighbour rule, gap indices as distances between consecutive roots."""
+    root_counter = Counter()
+    gap_counters = {i: Counter() for i in range(1, K)}
+    for ranks in itertools.permutations(range(K)):
+        if mode is C:
+            positions = [k for k in range(K)
+                         if ranks[k] < ranks[k - 1] and ranks[k] < ranks[(k + 1) % K]]
+            gaps = Counter(b - a - 1 for a, b in zip(positions, positions[1:]))
+            # the wrap pair closes the cycle
+            gaps[K - (positions[-1] - positions[0]) - 1] += 1
+            for i, v in gaps.items():
+                gap_counters[i][v] += 1
+        else:
+            positions = [k for k in range(1, K - 1)
+                         if ranks[k] < ranks[k - 1] and ranks[k] < ranks[k + 1]]
+        root_counter[len(positions)] += 1
+    return root_counter, gap_counters, math.factorial(K)
 
 
 def test_width_three_is_deterministic():
@@ -95,3 +123,46 @@ def test_json_dump_uses_fraction_strings():
     assert payload["mode"] == "cyclic"
     g = enumerate_gap_distribution(4, 1)
     assert g.to_json_dict()["i"] == 1
+
+
+@pytest.mark.parametrize("mode", [C, A])
+@pytest.mark.parametrize("K", range(3, 9))
+def test_blocked_sweep_equals_brute_force(K, mode):
+    roots, gaps, total = _enumerate(K, mode)
+    want_roots, want_gaps, want_total = brute_force_counts(K, mode)
+    assert total == want_total
+    assert dict(roots) == dict(want_roots)
+    assert gaps.keys() == want_gaps.keys()
+    for i in gaps:
+        assert dict(gaps[i]) == dict(want_gaps[i]), f"gap index {i}"
+
+
+@pytest.mark.parametrize("K", range(3, 10))
+def test_order_blocks_cover_each_order_once(K):
+    codes = []
+    for block in _order_blocks(K):
+        assert block.dtype == np.int8 and block.shape[0] == K
+        # every column is an order: the ranks 0..K-1 once each
+        assert (np.sort(block, axis=0) == np.arange(K).reshape(-1, 1)).all()
+        codes.append(block.astype(np.int64).T @ K ** np.arange(K, dtype=np.int64))
+    codes = np.concatenate(codes)
+    assert len(codes) == math.factorial(K)
+    assert len(np.unique(codes)) == math.factorial(K)
+
+
+def test_oracle_stays_independent_of_the_kernels_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    kernels = {"root_mask", "block_tallies", "deposit"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # relative imports are resolved against the stripdep package
+            package = "stripdep" if getattr(node, "level", 0) else ""
+            module = ".".join(filter(None, (package, getattr(node, "module", None))))
+            for alias in node.names:
+                name = ".".join(filter(None, (module, alias.name)))
+                assert not name.startswith("stripdep.ensemble"), name
+                assert alias.name not in kernels, alias.name
+        elif isinstance(node, ast.Name):
+            assert node.id not in kernels, node.id
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in kernels, node.attr
