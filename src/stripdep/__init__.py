@@ -46,12 +46,7 @@ from .process import (
     roots_from_permutation,
     simulate_final_roots,
 )
-from .ratpoly import (
-    MomentSummary,
-    RationalFunctionSeries,
-    RationalPolynomial,
-    pgf_moments,
-)
+from .ratpoly import MomentSummary, RationalPolynomial, count_moments, pgf_moments
 from .roots import (
     asymptotic_root_pgf,
     aux_root_pgf,

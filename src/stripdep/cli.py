@@ -291,6 +291,8 @@ def _cmd_oracle(args) -> int:
     if args.K is None:
         raise EnsembleConfigError("oracle requires --K")
     mode = _MODES[args.mode]
+    if args.i and mode is not BoundaryMode.CYCLIC:
+        raise EnsembleConfigError("gap statistics are defined for --mode cyclic only")
     dists = ([enumerate_gap_distribution(args.K, i) for i in args.i] if args.i
              else [enumerate_root_distribution(args.K, mode)])
     config = {"engine": "oracle", "K": args.K, "mode": args.mode,
@@ -313,10 +315,14 @@ def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.kmax is not None:
         _check_kmax(args.kmax)
+        smallest = max(SUITES[name][2] for name in names)
+        if args.kmax < smallest:
+            raise EnsembleConfigError(f"--suite {args.suite} needs --kmax >= {smallest}, "
+                                      f"got {args.kmax}")
     lines = []
     failed = 0
     for name in names:
-        suite, default_kmax = SUITES[name]
+        suite, default_kmax, _ = SUITES[name]
         kmax = args.kmax if args.kmax is not None else default_kmax
         started = time.perf_counter()
         checks = suite(kmax)

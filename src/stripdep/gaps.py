@@ -23,34 +23,30 @@ depends on l only through l' = min(l, i+1), on r the same way: the table's
 states are the capped triples (l', r', m), O(i^2 k) of them instead of
 O(k^3). An interval is an index-i gap exactly when l' < i+1, r' < i+1 and
 l' + r' + m == i. Reflection symmetry keeps only l' <= r'. Each stored
-entry is checked to be non-negative with coefficients summing to m!, and
-becomes a `RationalPolynomial` (divided by m!) only when `entry` returns
-it. The gap count of the full ring is the entry (0, 0, K-1).
+entry is checked to be non-negative with coefficients summing to m!. The
+gap count of the full ring is the state (0, 0, K-1): `gap_moments` reads
+its moments straight from the counts, and `entry` divides by m! only to
+return a `RationalPolynomial`.
 
 A second, much cheaper engine covers i = 1: the interval PGFs for unit gaps
 collapse onto a triple of polynomial sequences (a_K, b_K, c_K) driven by
-coupled convolution recursions, with c_K the PGF of D(1, K+1). It keeps
-exact rational coefficients and is independent of the table; the two
-engines cross-validate each other entry by entry.
+coupled convolution recursions, with c_K the PGF of D(1, K+1). It too
+carries integer counts, A_K = K! * a_K and so on, in which each
+convolution term takes the weight C(K, j); it is independent of the table,
+and the two engines cross-validate each other entry by entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .process import MIN_WIDTH
-from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
+from .ratpoly import MomentSummary, RationalPolynomial, count_moments
 
 # Stored-coefficient budget for one recursion table. Generous for every use
 # in this package (width 40 stays under 5e3 for each gap length up to 7).
 DEFAULT_COEFFICIENT_BUDGET = 5_000_000
-
-_U = RationalPolynomial.monomial(1)
-_ONE = RationalPolynomial.one()
-_ZERO = RationalPolynomial.zero()
-_ONE_MINUS_U = RationalPolynomial((1, -1))
 
 
 class TableBudgetError(RuntimeError):
@@ -86,7 +82,7 @@ class GapRecursionTable:
 
     Stores integer counts N = m! * E over the capped states (l', r', m) with
     m >= 3 and l' <= r'; boundary states (m <= 2) are synthesized on demand.
-    `entry` accepts any interval state (l, r, k) with k <= k_max.
+    `counts` and `entry` accept any interval state (l, r, k) with k <= k_max.
     """
 
     def __init__(self, i: int, k_max: int,
@@ -100,7 +96,6 @@ class GapRecursionTable:
         self.k_max = -1
         self._cap = i + 1
         self._counts: dict[tuple[int, int, int], list[int]] = {}
-        self._pgfs: dict[tuple[int, int, int], RationalPolynomial] = {}
         self._stored_coefficients = 0
         self.extend(k_max)
 
@@ -133,20 +128,17 @@ class GapRecursionTable:
             raise TableBudgetError(self.i, (l, r, l + r + m), self.coefficient_budget)
         self._counts[(l, r, m)] = counts
 
-    def entry(self, l: int, r: int, k: int) -> RationalPolynomial:
-        """PGF for the interval state (l, r, k)."""
+    def counts(self, l: int, r: int, k: int) -> tuple[int, ...]:
+        """Integer counts N = m! * E for the interval state (l, r, k), m = k - l - r."""
         if l < 0 or r < 0 or l + r > k:
             raise ValueError(f"invalid interval state (l={l}, r={r}, k={k})")
         if k > self.k_max:
             raise ValueError(f"state (l={l}, r={r}, k={k}) beyond table k_max {self.k_max}")
-        m = k - l - r
-        l, r = sorted((min(l, self._cap), min(r, self._cap)))
-        pgf = self._pgfs.get((l, r, m))
-        if pgf is None:
-            total = math.factorial(m)
-            pgf = self._pgfs[(l, r, m)] = RationalPolynomial(
-                [Fraction(c, total) for c in self._get(l, r, m)])
-        return pgf
+        return tuple(self._get(min(l, self._cap), min(r, self._cap), k - l - r))
+
+    def entry(self, l: int, r: int, k: int) -> RationalPolynomial:
+        """PGF for the interval state (l, r, k)."""
+        return RationalPolynomial.from_counts(self.counts(l, r, k), math.factorial(k - l - r))
 
     def stored_counts(self):
         """The stored (l', r', m) states with their integer counts N."""
@@ -187,18 +179,23 @@ def gap_pgf_table(i: int, k_max: int) -> GapRecursionTable:
     return table
 
 
-def gap_distribution(i: int, K: int) -> RationalPolynomial:
-    """PGF of the number of index-``i`` gaps of the cyclic process of width K."""
+def _ring_table(i: int, K: int) -> GapRecursionTable:
+    """The table whose state (0, 0, K-1) is the cyclic process of width K."""
     if K < MIN_WIDTH:
         raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
     if not 1 <= i <= K - 1:
         raise ValueError(f"gap index {i} out of range 1..{K - 1}")
-    return gap_pgf_table(i, K - 1).entry(0, 0, K - 1)
+    return gap_pgf_table(i, K - 1)
+
+
+def gap_distribution(i: int, K: int) -> RationalPolynomial:
+    """PGF of the number of index-``i`` gaps of the cyclic process of width K."""
+    return _ring_table(i, K).entry(0, 0, K - 1)
 
 
 def gap_moments(i: int, K: int) -> MomentSummary:
     """Exact mean/variance of the index-``i`` gap count at width K."""
-    return pgf_moments(gap_distribution(i, K))
+    return count_moments(_ring_table(i, K).counts(0, 0, K - 1), math.factorial(K - 1))
 
 
 @dataclass(frozen=True)
@@ -217,43 +214,47 @@ def abc_recursion(k_max: int) -> list[AbcTriple]:
 
     The three sequences satisfy coupled convolution recursions with small
     indicator source terms; a_K(1) = b_K(1) = 0 and c_K(1) = 1 for K >= 3,
-    and all three have degree (2K - 1 - 3*(-1)**K) / 4.
+    and all three have degree (2K - 1 - 3*(-1)**K) / 4. In the recursion
+    for width K+1, multiplied through by K!, the counts A_K = K! * a_K (and
+    B, C alike) take C(K, j) on each convolution term, K on terms of width
+    K-1, K(K-1) on terms of width K-2 and K! on the source terms.
     """
     if k_max < MIN_WIDTH:
         raise ValueError(f"k_max must be >= {MIN_WIDTH}, got {k_max}")
-    a = [_ZERO] * 3
-    b = [_ZERO] * 3
-    c = [_ZERO] * 3
+    A: list[list[int]] = [[], [], []]
+    B: list[list[int]] = [[], [], []]
+    C: list[list[int]] = [[], [], []]
+    # (a, b, c) source terms at K = 2, 3, 4: (1-u)^2, u(1-u), 2+u^2; 0, 1-u, 2u; 0, 0, 1
+    sources = {2: ([1, -2, 1], [0, 1, -1], [2, 0, 1]),
+               3: ([], [1, -1], [0, 2]),
+               4: ([], [], [1])}
     for K in range(2, k_max):
-        nxt = K + 1
-        a_src = _ZERO
-        b_src = _ZERO
-        c_src = _ZERO
-        if K == 2:
-            a_src = _ONE_MINUS_U * _ONE_MINUS_U
-            b_src = _U * _ONE_MINUS_U
-            c_src = RationalPolynomial((2, 0, 1))        # 2 + u**2
-        elif K == 3:
-            b_src = _ONE_MINUS_U
-            c_src = 2 * _U
-        elif K == 4:
-            c_src = _ONE
-        conv_bb = _ZERO
-        conv_bc = _ZERO
-        conv_cc = _ZERO
+        a_src, b_src, c_src = sources.get(K, ([], [], []))
+        f = math.factorial(K)
+        a_next = [f * x for x in a_src]
+        b_next = [f * x for x in b_src]
+        c_next = [f * x for x in c_src]
         for j in range(3, K - 2):
-            conv_bb = conv_bb + b[j] * b[K - j]
-            conv_bc = conv_bc + b[j] * c[K - j]
-            conv_cc = conv_cc + c[j] * c[K - j]
-        a_next = (a_src + conv_bb + 2 * (_ONE_MINUS_U * b[K - 1])) / nxt
-        b_next = (b_src + a[K] + b[K] + conv_bc + _U * b[K - 1] + b[K - 2]
-                  + _ONE_MINUS_U * c[K - 1]) / nxt
-        c_next = (c_src + 2 * b[K] + 2 * c[K] + conv_cc + 2 * (_U * c[K - 1])
-                  + 2 * c[K - 2]) / nxt
-        a.append(a_next)
-        b.append(b_next)
-        c.append(c_next)
-    return [AbcTriple(K=K, a=a[K], b=b[K], c=c[K]) for K in range(3, k_max + 1)]
+            w = math.comb(K, j)
+            _add_into(a_next, _mul(B[j], B[K - j]), w)
+            _add_into(b_next, _mul(B[j], C[K - j]), w)
+            _add_into(c_next, _mul(C[j], C[K - j]), w)
+        _add_into(a_next, _mul([1, -1], B[K - 1]), 2 * K)
+        _add_into(b_next, A[K])
+        _add_into(b_next, B[K])
+        _add_into(b_next, [0, *B[K - 1]], K)
+        _add_into(b_next, B[K - 2], K * (K - 1))
+        _add_into(b_next, _mul([1, -1], C[K - 1]), K)
+        _add_into(c_next, B[K], 2)
+        _add_into(c_next, C[K], 2)
+        _add_into(c_next, [0, *C[K - 1]], 2 * K)
+        _add_into(c_next, C[K - 2], 2 * K * (K - 1))
+        A.append(a_next)
+        B.append(b_next)
+        C.append(c_next)
+    return [AbcTriple(K, *(RationalPolynomial.from_counts(X[K], math.factorial(K))
+                           for X in (A, B, C)))
+            for K in range(3, k_max + 1)]
 
 
 def abc_degree(K: int) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .gaps import abc_degree, abc_recursion, gap_distribution, gap_moments
 from .oracle import (
@@ -15,7 +16,7 @@ from .oracle import (
     enumerate_root_distribution,
 )
 from .process import BoundaryMode
-from .ratpoly import RationalFunctionSeries, RationalPolynomial
+from .ratpoly import RationalPolynomial, count_moments
 from .roots import aux_root_counts, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
 
 
@@ -31,11 +32,8 @@ def suite_roots(kmax: int) -> list[tuple[str, bool, str]]:
     ok_mean = ok_var = ok_norm = ok_deg = True
     detail = ""
     for K in range(3, kmax + 1):
-        counts = aux_root_counts(K - 1)
-        total = math.factorial(K - 1)
-        mean = Fraction(sum(d * w for d, w in enumerate(counts, start=1)), total)
-        variance = Fraction(sum(d * d * w for d, w in enumerate(counts, start=1)),
-                            total) - mean**2
+        m = count_moments((0, *aux_root_counts(K - 1)), math.factorial(K - 1))
+        mean, variance = m.mean, m.variance
         if mean != Fraction(K, 3):
             ok_mean, detail = False, f"K={K}: mean {mean}"
         expect = variance_law.get(K, Fraction(2 * K, 45))
@@ -130,6 +128,18 @@ FACTORIAL_SERIES_ROWS = {
 }
 
 
+def series_coefficients(numerator, scale: int, order: int, count: int) -> list[Fraction]:
+    """First ``count`` Taylor coefficients of numerator / (scale * (1-x)^order).
+
+    Dividing by 1 - x takes prefix sums, so the integer numerator is summed
+    ``order`` times and divided by ``scale`` once at the end.
+    """
+    coeffs = (list(numerator) + [0] * count)[:count]
+    for _ in range(order):
+        coeffs = list(accumulate(coeffs))
+    return [Fraction(c, scale) for c in coeffs]
+
+
 def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     checks = []
     table1 = {
@@ -146,13 +156,12 @@ def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     for t in triples:
         if t.K in table1:
             ea, eb, ec, den = table1[t.K]
-            want = tuple(RationalPolynomial([Fraction(x, den) for x in cs])
-                         for cs in (ea, eb, ec))
+            want = tuple(RationalPolynomial.from_counts(cs, den) for cs in (ea, eb, ec))
             if (t.a, t.b, t.c) != want:
                 ok, detail = False, f"K={t.K}"
     _check(checks, "unit-gap polynomial triples for K=3..7", ok, detail)
-    ok = all(t.a(1) == 0 and t.b(1) == 0 and t.c(1) == 1 and
-             t.c.degree == abc_degree(t.K) for t in triples)
+    ok = all(t.a.sum_of_coefficients() == 0 and t.b.sum_of_coefficients() == 0 and
+             t.c.sum_of_coefficients() == 1 and t.c.degree == abc_degree(t.K) for t in triples)
     _check(checks, f"triple normalization and degree law for K=3..{kt}", ok)
     ok = all(t.c == gap_distribution(1, t.K + 1) for t in triples)
     _check(checks, f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}", ok)
@@ -162,19 +171,16 @@ def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
                    f"for K=0..{kt}", ok)
 
     ks = min(kmax, 25)
-    omx = RationalPolynomial((1, -1))
     for i in range(1, 8):
         scale, num = MEAN_SERIES_ROWS[i]
-        series = RationalFunctionSeries(RationalPolynomial(num),
-                                        scale * omx * omx).coefficients(ks)
+        series = series_coefficients(num, scale, 2, ks)
         ok = all(series[K] == gap_moments(i, K + 1).mean
                  for K in range(max(3, i), ks))
         note = " (leading power x^3 restored)" if i == 1 else ""
         _check(checks, f"mean series row i={i}{note} vs engine, widths 4..{ks}", ok)
     for i in range(1, 8):
         scale, shift, lead, inner = FACTORIAL_SERIES_ROWS[i]
-        numerator = (lead * RationalPolynomial(inner)).shift(shift)
-        series = RationalFunctionSeries(numerator, scale * omx * omx * omx).coefficients(ks)
+        series = series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
         ok = all(series[K] == gap_moments(i, K + 1).second_factorial_moment
                  for K in range(max(3, i), ks))
         note = " (third-order pole)" if i == 5 else ""
@@ -198,6 +204,7 @@ def suite_oracle(kmax: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-# suite name -> (suite, default largest width), in `verify --suite all` order
-SUITES = {"roots": (suite_roots, 60), "gaps": (suite_gaps, 40),
-          "tables": (suite_tables, 25), "oracle": (suite_oracle, 8)}
+# suite name -> (suite, default largest width, smallest width that checks
+# every law), in `verify --suite all` order; series row i=7 starts at width 8
+SUITES = {"roots": (suite_roots, 60, 3), "gaps": (suite_gaps, 40, 4),
+          "tables": (suite_tables, 25, 8), "oracle": (suite_oracle, 8, 3)}

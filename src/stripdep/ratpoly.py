@@ -1,10 +1,10 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""The exact output type of the engines, and moments from integer counts.
 
-Probability generating functions (PGFs) of bounded integer statistics are
-polynomials, so all distribution work in this package reduces to polynomial
-arithmetic over `fractions.Fraction`. Denominators grow factorially with the
-substrate width, which rules out fixed-width arithmetic; Python's unbounded
-integers make the exact path straightforward.
+The engines count first-hit orders in Python integers: a table entry or a
+root layer is a list of counts summing to n!. Only what they return is a
+`RationalPolynomial`, a probability generating function (PGF) with
+`fractions.Fraction` coefficients, built once by `from_counts`. Moments are
+taken from the counts by `count_moments`, or from a PGF by `pgf_moments`.
 """
 
 from __future__ import annotations
@@ -34,22 +34,9 @@ class RationalPolynomial:
         self._coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, value) -> "RationalPolynomial":
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, power: int, coefficient=1) -> "RationalPolynomial":
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        return cls((0,) * power + (coefficient,))
+    def from_counts(cls, counts, total: int) -> "RationalPolynomial":
+        """The PGF whose coefficient of x**d is counts[d] / total."""
+        return cls([Fraction(c, total) for c in counts])
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -72,41 +59,13 @@ class RationalPolynomial:
         if isinstance(other, RationalPolynomial):
             return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial.constant(other)
+            return self._coeffs == RationalPolynomial((other,))._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __add__(self, other) -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial.constant(other)
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> "RationalPolynomial":
-        return self + (-other if isinstance(other, RationalPolynomial)
-                       else RationalPolynomial.constant(-_as_fraction(other)))
-
-    def __rsub__(self, other) -> "RationalPolynomial":
-        return RationalPolynomial.constant(other) - self
-
     def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return RationalPolynomial([a * c for a in self._coeffs])
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -119,14 +78,6 @@ class RationalPolynomial:
                     out[i + j] += ai * bj
         return RationalPolynomial(out)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "RationalPolynomial":
-        c = _as_fraction(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of polynomial by zero")
-        return RationalPolynomial([a / c for a in self._coeffs])
-
     def shift(self, powers: int) -> "RationalPolynomial":
         """Multiply by x**powers."""
         if powers < 0:
@@ -135,19 +86,11 @@ class RationalPolynomial:
             return self
         return RationalPolynomial((Fraction(0),) * powers + self._coeffs)
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial([k * c for k, c in enumerate(self._coeffs)][1:])
-
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return acc
-        acc = 0.0
+        acc = Fraction(0)
         for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
+            acc = acc * x + c
         return acc
 
     def sum_of_coefficients(self) -> Fraction:
@@ -167,7 +110,7 @@ class RationalPolynomial:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Exact first/second moments extracted from a PGF."""
+    """Exact first/second moments of a distribution."""
 
     mean: Fraction
     variance: Fraction
@@ -178,44 +121,20 @@ class MomentSummary:
             raise ValueError("inconsistent moment summary")
 
 
-def pgf_moments(p: RationalPolynomial) -> MomentSummary:
-    """Mean and variance of the distribution encoded by PGF ``p``.
+def count_moments(counts, total) -> MomentSummary:
+    """Moments of the distribution P(X = d) = counts[d] / total.
 
-    mean = p'(1); the second derivative at 1 is the second factorial moment
-    E(X(X-1)), so variance = p''(1) + p'(1) - p'(1)**2.
+    mean = sum d*c / total and the second factorial moment E(X(X-1)) =
+    sum d(d-1)*c / total, so variance = E(X(X-1)) + mean - mean**2.
     """
-    if not p.is_pgf():
-        raise ValueError("polynomial is not a normalized PGF")
-    d1 = p.derivative()
-    mean = d1(1)
-    sfm = d1.derivative()(1)
+    mean = Fraction(sum(d * c for d, c in enumerate(counts)), total)
+    sfm = Fraction(sum(d * (d - 1) * c for d, c in enumerate(counts)), total)
     return MomentSummary(mean=mean, variance=sfm + mean - mean**2,
                          second_factorial_moment=sfm)
 
 
-class RationalFunctionSeries:
-    """Taylor series at 0 of numerator/denominator, coefficients on demand."""
-
-    def __init__(self, numerator: RationalPolynomial, denominator: RationalPolynomial):
-        if denominator.coefficient(0) == 0:
-            raise ValueError("denominator must not vanish at 0")
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def coefficients(self, count: int) -> tuple[Fraction, ...]:
-        """First ``count`` Taylor coefficients, exact.
-
-        The coefficients satisfy the linear recurrence induced by the
-        denominator: d0*c_n = num_n - sum_{j>=1} d_j*c_{n-j}.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        den = self.denominator.coefficients
-        d0 = den[0]
-        out: list[Fraction] = []
-        for n in range(count):
-            acc = self.numerator.coefficient(n)
-            for j in range(1, min(n, len(den) - 1) + 1):
-                acc -= den[j] * out[n - j]
-            out.append(acc / d0)
-        return tuple(out)
+def pgf_moments(p: RationalPolynomial) -> MomentSummary:
+    """Mean and variance of the distribution encoded by PGF ``p``."""
+    if not p.is_pgf():
+        raise ValueError("polynomial is not a normalized PGF")
+    return count_moments(p.coefficients, 1)

@@ -16,7 +16,9 @@ order of K ranks gives
 
 with W_0 = W_1 = 1: per coefficient, c_d t^d adds (2 + 2d) c_d to t^d and
 (K - 1 - 2d) c_d to t^{d+1}. A layer costs O(K) integer operations, and
-`aux_root_pgf` divides by K! only when it returns a `RationalPolynomial`.
+the counts stay integers: `aux_root_pgf` divides them by K! only to return
+its `RationalPolynomial`, and `verify roots` takes its moments straight from
+the counts.
 
 The paper's first-step decomposition is kept as the reference engine
 (`first_step_root_counts`): the first deposit either extends a boundary
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .process import MIN_WIDTH
 from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
@@ -103,9 +104,8 @@ def aux_root_pgf(K: int) -> RationalPolynomial:
     """PGF of the root count of the auxiliary process of width K; memoized."""
     pgf = _pgf_cache.get(K)
     if pgf is None:
-        counts = aux_root_counts(K)
-        total = math.factorial(K)
-        pgf = _pgf_cache[K] = RationalPolynomial([Fraction(c, total) for c in counts])
+        pgf = _pgf_cache[K] = RationalPolynomial.from_counts(aux_root_counts(K),
+                                                             math.factorial(K))
     return pgf
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,44 @@ def test_verify_rejects_kmax_below_three(capsys, suite, kmax):
     assert code == 2
     assert out == ""
     assert err == f"error: --kmax must be >= 3, got {kmax}\n"
+
+
+# smallest --kmax at which each suite checks every law; `all` takes the largest
+SUITE_MIN_KMAX = {"roots": 3, "gaps": 4, "tables": 8, "oracle": 3, "all": 8}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_MIN_KMAX))
+def test_verify_kmax_boundary_of_each_suite(capsys, suite):
+    smallest = SUITE_MIN_KMAX[suite]
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--kmax", str(smallest))
+    assert code == 0
+    assert out.strip().endswith("OK: all checks passed")
+    # no check line names an empty width range such as "K=4..3"
+    assert all(int(lo) <= int(hi) for lo, hi in re.findall(r"(\d+)\.\.(\d+)", out))
+    if smallest > 3:
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--kmax", str(smallest - 1))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --suite {suite} needs --kmax >= {smallest}, "
+                       f"got {smallest - 1}\n")
+
+
+def test_verify_tables_at_its_smallest_kmax_checks_width_8_on_every_row(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "8")
+    rows = [line for line in out.splitlines() if "series row" in line]
+    assert len(rows) == 14
+    assert all(line.startswith("PASS: ") and line.endswith("widths 4..8") for line in rows)
+
+
+def test_oracle_gap_statistics_reject_aux_mode(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--K", "5", "--mode", "aux", "--i", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "cyclic" in err
+    code, out, _ = run_cli(capsys, "oracle", "--K", "5", "--i", "1")
+    assert code == 0
+    assert json.loads(out)["results"][0]["i"] == 1
 
 
 def test_unknown_flag_exits_2(capsys):

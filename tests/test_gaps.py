@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -14,10 +16,10 @@ from stripdep.gaps import (
     gap_moments,
     gap_pgf_table,
 )
-from stripdep.ratpoly import RationalPolynomial as P
+from stripdep.ratpoly import RationalPolynomial as P, pgf_moments
 
-U = P.monomial(1)
-ONE = P.one()
+U = P([0, 1])
+ONE = P([1])
 
 
 def test_boundary_layers_hold_the_indicator():
@@ -59,17 +61,32 @@ def test_gap_distribution_small_widths():
         gap_distribution(1, 2)
 
 
+def _add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(x + (q[n] if n < len(q) else 0) for n, x in enumerate(p))
+
+
+def _times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] += x * y
+    return tuple(out)
+
+
 def test_reflection_symmetry_against_plain_recursion():
-    # the plain Fraction recursion over uncapped states (l, r, k)
+    # the plain Fraction recursion over uncapped states (l, r, k), on
+    # coefficient tuples
     @lru_cache(maxsize=None)
     def reference(i, l, r, k):
         m = k - l - r
         if m <= 2:
-            return U if k == i else ONE
-        acc = reference(i, l + 1, r, k) + reference(i, l, r + 1, k)
+            return (F(0), F(1)) if k == i else (F(1),)
+        acc = _add(reference(i, l + 1, r, k), reference(i, l, r + 1, k))
         for j in range(2, m):
-            acc = acc + reference(i, l, 0, j + l - 1) * reference(i, 0, r, k - j - l)
-        return acc / m
+            acc = _add(acc, _times(reference(i, l, 0, j + l - 1), reference(i, 0, r, k - j - l)))
+        return tuple(x / m for x in acc)
 
     for i in (1, 2, 3):
         table = gap_pgf_table(i, 10)
@@ -78,7 +95,7 @@ def test_reflection_symmetry_against_plain_recursion():
                 for r in range(k - l + 1):
                     want = reference(i, l, r, k)
                     assert want == reference(i, r, l, k)
-                    assert table.entry(l, r, k) == want, (i, l, r, k)
+                    assert table.entry(l, r, k) == P(want), (i, l, r, k)
 
 
 def test_stored_integer_counts_sum_to_m_factorial():
@@ -119,7 +136,7 @@ def test_abc_table_one_fixtures():
     assert triples[3].a == P([F(1, 3), F(-2, 3), F(1, 3)])
     assert triples[3].b == P([0, F(1, 3), F(-1, 3)])
     assert triples[3].c == P([F(2, 3), 0, F(1, 3)])
-    assert triples[4].a == P.zero()
+    assert triples[4].a == P([])
     assert triples[4].b == P([F(1, 3), F(-1, 3)])
     assert triples[4].c == P([F(1, 3), F(2, 3)])
     assert triples[5].c == P([F(7, 15), F(6, 15), 0, F(2, 15)])
@@ -137,6 +154,17 @@ def test_abc_normalization_and_degree_law():
         assert t.c.degree == d
 
 
+def test_abc_recursion_golden_digest_to_60():
+    # SHA-256 of every triple's coefficients, recorded from the Fraction engine
+    # that the integer-count recursion replaced
+    triples = abc_recursion(60)
+    text = json.dumps([[t.K, t.a.fraction_strings(), t.b.fraction_strings(),
+                        t.c.fraction_strings()] for t in triples])
+    assert [t.K for t in triples] == list(range(3, 61))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "54144279187444db2b7aa70543fe1b235b801f94d67fadd8a8d41eab24fdbb7c")
+
+
 def test_abc_cross_engine_equality():
     triples = abc_recursion(40)
     for t in triples:
@@ -149,6 +177,24 @@ def test_unit_gap_moment_laws():
         m = gap_moments(1, K)
         assert m.mean == (F(2, 3) if K == 4 else F(2 * K, 15))
         assert m.variance == exceptional.get(K, F(1772 * K, 14175))
+
+
+def test_gap_moments_from_counts_equal_pgf_moments():
+    for K in range(3, 26):
+        for i in range(1, min(7, K - 1) + 1):
+            assert gap_moments(i, K) == pgf_moments(gap_distribution(i, K)), (i, K)
+
+
+def test_table_counts_back_every_entry():
+    t = GapRecursionTable(i=2, k_max=9)
+    for l, r, k in [(0, 0, 9), (1, 4, 9), (5, 0, 8), (0, 0, 2), (2, 1, 4)]:
+        counts = t.counts(l, r, k)
+        assert sum(counts) == math.factorial(k - l - r)
+        assert t.entry(l, r, k) == P.from_counts(counts, math.factorial(k - l - r))
+    # blocks cap at i+1 = 3 sites, and reflection swaps l and r
+    assert t.counts(1, 4, 9) == t.counts(4, 1, 9) == t.counts(1, 3, 8)
+    with pytest.raises(ValueError):
+        t.counts(0, 0, 10)
 
 
 def test_unit_gap_moment_examples():

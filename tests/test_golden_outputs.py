@@ -1,0 +1,108 @@
+"""Byte-level pins of CLI and demo stdout, with exit codes.
+
+Each case maps to ``(exit code, SHA-256 of stdout)``. The digests were
+recorded from the `Fraction`-based exact engines that preceded the integer
+count ones, so any change to a pinned output fails here. Regenerate a digest
+only for an intended output change, and say which one in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from stripdep.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# case -> argv; the four verify calls are the exact-verify benchmark's
+CLI_CASES = {
+    "verify-all": ("verify", "--suite", "all"),
+    "bench-verify-roots": ("verify", "--suite", "roots", "--kmax", "110"),
+    "bench-verify-gaps": ("verify", "--suite", "gaps"),
+    "bench-verify-tables": ("verify", "--suite", "tables"),
+    "bench-verify-oracle": ("verify", "--suite", "oracle", "--kmax", "9"),
+    "exact-roots-cyclic-json": ("exact-roots", "--kmax", "40"),
+    "exact-roots-cyclic-csv": ("exact-roots", "--kmax", "40", "--format", "csv"),
+    "exact-roots-aux-json": ("exact-roots", "--kmax", "40", "--mode", "aux"),
+    "exact-roots-aux-csv": ("exact-roots", "--kmax", "40", "--mode", "aux",
+                            "--format", "csv"),
+    "exact-gaps-json": ("exact-gaps", "--kmax", "25", "--i", "1", "--i", "3"),
+    "exact-gaps-csv": ("exact-gaps", "--kmax", "25", "--i", "1", "--i", "3",
+                       "--format", "csv"),
+    "exact-gaps-all-lengths-json": ("exact-gaps", "--kmax", "40",
+                                    *(a for i in range(1, 8) for a in ("--i", str(i)))),
+}
+
+DEMOS = ("exact_gap_distributions.py", "exact_root_distributions.py")
+
+GOLDEN = {
+    "verify-all":
+        (0, "ba6a72aa51e83160ae12a316cff034e7df18c4af4b193527290c9b2355f98fbf"),
+    "bench-verify-roots":
+        (0, "a6dce6c343f7a6ed7c8a6bc6a4fa76528f2cd9856be604e7ae3eac1dc0897230"),
+    "bench-verify-gaps":
+        (0, "3d6df2ffba8b848aefbfeacc89c6bffbc821538ff09a81ed1e3e31420a7d4945"),
+    "bench-verify-tables":
+        (0, "d5807c91cea5b73ed5bf6e0f03fb6ea42fa886aca159f79a7f6ad0b97fcc2440"),
+    "bench-verify-oracle":
+        (0, "ca5c15481081b3946780aba580707a106a136d692f3a5a22d24c90a4c36c043f"),
+    "exact-roots-cyclic-json":
+        (0, "f42bc7376c395057106166d9846b571840f2b425c2052f296b4dda3b872e3789"),
+    "exact-roots-cyclic-csv":
+        (0, "e197da44b4d28470cf2c68f4d82bfc6cc633cc8dfc83d84cbd80ddf3b302c985"),
+    "exact-roots-aux-json":
+        (0, "adb415ed7760ff216d7d0eeec8c4067ed17e130ce11b89e626368a48c6751920"),
+    "exact-roots-aux-csv":
+        (0, "7268f35d94ae2c4558b7d8917ead84ae7397cbbc67b46486af85ddf27cbd7e0d"),
+    "exact-gaps-json":
+        (0, "e46cd21e2401a8af75722dba858cc8a9dfe57d3918a16ed978c78fabdfda0940"),
+    "exact-gaps-csv":
+        (0, "14f93b371d21c33a6ac0fb2a668f771f94ebfe29170af2286d08b4ec07490b33"),
+    "exact-gaps-all-lengths-json":
+        (0, "9a01ba9f985228ac75417ddae86d9ecf37c46f7fdb1c1651334d2561272ad0fa"),
+    "exact_gap_distributions.py":
+        (0, "49cc90a2cb0a0b2bb8a3214a3af81c24ba79a0b2bcb773c607f0fa0e1ce676d5"),
+    "exact_root_distributions.py":
+        (0, "0a1641eaabb64b30c91016caef0cddcd87f2c0e1e303c578fd60a16ff4d9bd31"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_output(argv) -> tuple[int, str]:
+    """Exit code and stdout digest of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, _digest(buf.getvalue())
+
+
+def demo_output(script: str) -> tuple[int, str]:
+    """Exit code and stdout digest of one demo run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, _digest(done.stdout)
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted([*CLI_CASES, *DEMOS])
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_is_pinned(case):
+    assert cli_output(CLI_CASES[case]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_output_is_pinned(script):
+    assert demo_output(script) == GOLDEN[script]
