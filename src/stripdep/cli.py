@@ -23,12 +23,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 from .ensemble import VALID_STATISTICS, EnsembleConfig, EnsembleConfigError, run_ensemble
-from .gaps import TableBudgetError, gap_distribution
+from .gaps import TableBudgetError, gap_distribution, gap_moments
 from .laws import SUITES
 from .oracle import (
     MAX_ENUMERATION_WIDTH,
@@ -36,9 +37,9 @@ from .oracle import (
     enumerate_gap_distribution,
     enumerate_root_distribution,
 )
-from .process import BoundaryMode
-from .ratpoly import pgf_moments
-from .roots import aux_root_pgf, cyclic_root_pgf
+from .process import BoundaryMode, _check_width
+from .ratpoly import RationalPolynomial, count_moments
+from .roots import aux_root_layers
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -245,8 +246,7 @@ def _k_range(args) -> list[int]:
     return [args.K]
 
 
-def _exact_result(pgf, **keys) -> dict:
-    m = pgf_moments(pgf)
+def _exact_result(m, pgf, **keys) -> dict:
     return {**keys, "mean": _frac(m.mean), "variance": _frac(m.variance),
             "coefficients": pgf.fraction_strings()}
 
@@ -261,9 +261,18 @@ def _write_exact(args, config: dict, results: list[dict], keys: tuple[str, ...])
 
 
 def _cmd_exact_roots(args) -> int:
-    mode = _MODES[args.mode]
-    pgf_of = cyclic_root_pgf if mode is BoundaryMode.CYCLIC else aux_root_pgf
-    results = [_exact_result(pgf_of(K), K=K) for K in _k_range(args)]
+    widths = _k_range(args)
+    # the cyclic width K is the auxiliary width K-1 with one extra root
+    shift = int(_MODES[args.mode] is BoundaryMode.CYCLIC)
+    if shift:
+        _check_width(widths[0])
+    results = []
+    for n, counts in enumerate(aux_root_layers(widths[-1] - shift)):
+        if n + shift >= widths[0]:
+            counts, total = (0,) * shift + counts, math.factorial(n)
+            results.append(_exact_result(count_moments(counts, total),
+                                         RationalPolynomial.from_counts(counts, total),
+                                         K=n + shift))
     config = {"engine": "exact-roots", "mode": args.mode,
               "K_values": [r["K"] for r in results]}
     _write_exact(args, config, results, ("K",))
@@ -279,7 +288,7 @@ def _cmd_exact_gaps(args) -> int:
         if i > widths[-1] - 1:
             raise EnsembleConfigError(f"gap length {i} out of range 1..{widths[-1] - 1}")
     # range mode skips the widths below i+1
-    results = [_exact_result(gap_distribution(i, K), i=i, K=K)
+    results = [_exact_result(gap_moments(i, K), gap_distribution(i, K), i=i, K=K)
                for i in lengths for K in widths if i <= K - 1]
     config = {"engine": "exact-gaps", "i_values": lengths,
               "K_values": sorted({r["K"] for r in results})}
@@ -319,6 +328,8 @@ def _cmd_verify(args) -> int:
         if args.kmax < smallest:
             raise EnsembleConfigError(f"--suite {args.suite} needs --kmax >= {smallest}, "
                                       f"got {args.kmax}")
+        if "oracle" in names and args.kmax > MAX_ENUMERATION_WIDTH:
+            raise EnumerationLimitError(args.kmax)
     lines = []
     failed = 0
     for name in names:

@@ -21,6 +21,7 @@ independent per-run reference that the tests compare the kernel against.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -315,7 +316,7 @@ class EnsembleStats:
         return float(np.mean(self.samples(statistic)))
 
     def variance(self, statistic: str, i: int | None = None) -> float:
-        """Unbiased sample variance."""
+        """Unbiased sample variance; 0.0 below two samples."""
         if statistic in (STAT_ROOTS, STAT_GAPS):
             hist = self._int_histogram(statistic, i)
             n = sum(hist.values())
@@ -324,7 +325,8 @@ class EnsembleStats:
             s1 = sum(v * c for v, c in hist.items())
             s2 = sum(v * v * c for v, c in hist.items())
             return (s2 - s1 * s1 / n) / (n - 1)
-        return float(np.var(self.samples(statistic), ddof=1))
+        samples = self.samples(statistic)
+        return float(np.var(samples, ddof=1)) if len(samples) > 1 else 0.0
 
     def ks_normal(self, statistic: str, i: int | None = None,
                   mean: float | None = None, sd: float | None = None) -> float:
@@ -343,9 +345,7 @@ class EnsembleStats:
             return dict(sorted(self._int_histogram(statistic, i).items()))
         samples = self.samples(statistic)
         m = float(np.mean(samples))
-        sd = float(np.std(samples, ddof=1))
-        if sd == 0:
-            sd = 1.0
+        sd = math.sqrt(self.variance(statistic)) or 1.0
         counts, edges = np.histogram(samples, bins=200, range=(m - 5 * sd, m + 5 * sd))
         return edges, counts
 

@@ -41,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .process import MIN_WIDTH
+from .process import MIN_WIDTH, _check_width
 from .ratpoly import MomentSummary, RationalPolynomial, count_moments
 
-# Stored-coefficient budget for one recursion table. Generous for every use
-# in this package (width 40 stays under 5e3 for each gap length up to 7).
+# Stored-coefficient budget for one recursion table, read as each entry is
+# stored. Generous for every use in this package (width 40 stays under 5e3
+# for each gap length up to 7).
 DEFAULT_COEFFICIENT_BUDGET = 5_000_000
 
 
@@ -85,14 +86,12 @@ class GapRecursionTable:
     `counts` and `entry` accept any interval state (l, r, k) with k <= k_max.
     """
 
-    def __init__(self, i: int, k_max: int,
-                 coefficient_budget: int = DEFAULT_COEFFICIENT_BUDGET):
+    def __init__(self, i: int, k_max: int):
         if i < 1:
             raise ValueError(f"gap index must be >= 1, got {i}")
         if k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {k_max}")
         self.i = i
-        self.coefficient_budget = coefficient_budget
         self.k_max = -1
         self._cap = i + 1
         self._counts: dict[tuple[int, int, int], list[int]] = {}
@@ -124,8 +123,8 @@ class GapRecursionTable:
             raise ArithmeticError(
                 f"table entry (l={l}, r={r}, k={l + r + m}) for i={self.i} is not a PGF")
         self._stored_coefficients += len(counts)
-        if self._stored_coefficients > self.coefficient_budget:
-            raise TableBudgetError(self.i, (l, r, l + r + m), self.coefficient_budget)
+        if self._stored_coefficients > DEFAULT_COEFFICIENT_BUDGET:
+            raise TableBudgetError(self.i, (l, r, l + r + m), DEFAULT_COEFFICIENT_BUDGET)
         self._counts[(l, r, m)] = counts
 
     def counts(self, l: int, r: int, k: int) -> tuple[int, ...]:
@@ -181,8 +180,7 @@ def gap_pgf_table(i: int, k_max: int) -> GapRecursionTable:
 
 def _ring_table(i: int, K: int) -> GapRecursionTable:
     """The table whose state (0, 0, K-1) is the cyclic process of width K."""
-    if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+    _check_width(K)
     if not 1 <= i <= K - 1:
         raise ValueError(f"gap index {i} out of range 1..{K - 1}")
     return gap_pgf_table(i, K - 1)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise
 
 from .gaps import abc_degree, abc_recursion, gap_distribution, gap_moments
 from .oracle import (
@@ -16,8 +16,8 @@ from .oracle import (
     enumerate_root_distribution,
 )
 from .process import BoundaryMode
-from .ratpoly import RationalPolynomial, count_moments
-from .roots import aux_root_counts, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
+from .ratpoly import MomentSummary, RationalPolynomial, count_moments
+from .roots import aux_root_layers, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
 
 
 def _check(checks, name, ok, detail=""):
@@ -31,15 +31,14 @@ def suite_roots(kmax: int) -> list[tuple[str, bool, str]]:
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
     ok_mean = ok_var = ok_norm = ok_deg = True
     detail = ""
-    for K in range(3, kmax + 1):
-        m = count_moments((0, *aux_root_counts(K - 1)), math.factorial(K - 1))
+    for K, (below, counts) in enumerate(islice(pairwise(aux_root_layers(kmax)), 2, None), 3):
+        m = count_moments((0, *below), math.factorial(K - 1))
         mean, variance = m.mean, m.variance
         if mean != Fraction(K, 3):
             ok_mean, detail = False, f"K={K}: mean {mean}"
         expect = variance_law.get(K, Fraction(2 * K, 45))
         if variance != expect:
             ok_var, detail = False, f"K={K}: variance {variance} != {expect}"
-        counts = aux_root_counts(K)
         if sum(counts) != math.factorial(K):
             ok_norm = False
         if len(counts) - 1 != (K - 1) // 2:
@@ -140,6 +139,12 @@ def series_coefficients(numerator, scale: int, order: int, count: int) -> list[F
     return [Fraction(c, scale) for c in coeffs]
 
 
+def _ring_moments(i: int, K: int) -> MomentSummary:
+    """Gap-i moments at width K; those of the point mass at 0 where no
+    index-i gap fits (K <= i)."""
+    return gap_moments(i, K) if i < K else count_moments((1,), 1)
+
+
 def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     checks = []
     table1 = {
@@ -165,8 +170,7 @@ def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     _check(checks, f"triple normalization and degree law for K=3..{kt}", ok)
     ok = all(t.c == gap_distribution(1, t.K + 1) for t in triples)
     _check(checks, f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}", ok)
-    reference = first_step_root_counts(kt)
-    ok = all(aux_root_counts(K) == reference[K] for K in range(kt + 1))
+    ok = list(aux_root_layers(kt)) == first_step_root_counts(kt)
     _check(checks, f"cross-engine: insertion root engine equals first-step recursion "
                    f"for K=0..{kt}", ok)
 
@@ -174,15 +178,14 @@ def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
     for i in range(1, 8):
         scale, num = MEAN_SERIES_ROWS[i]
         series = series_coefficients(num, scale, 2, ks)
-        ok = all(series[K] == gap_moments(i, K + 1).mean
-                 for K in range(max(3, i), ks))
+        ok = all(series[K] == _ring_moments(i, K + 1).mean for K in range(3, ks))
         note = " (leading power x^3 restored)" if i == 1 else ""
         _check(checks, f"mean series row i={i}{note} vs engine, widths 4..{ks}", ok)
     for i in range(1, 8):
         scale, shift, lead, inner = FACTORIAL_SERIES_ROWS[i]
         series = series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
-        ok = all(series[K] == gap_moments(i, K + 1).second_factorial_moment
-                 for K in range(max(3, i), ks))
+        ok = all(series[K] == _ring_moments(i, K + 1).second_factorial_moment
+                 for K in range(3, ks))
         note = " (third-order pole)" if i == 5 else ""
         _check(checks, f"second-factorial-moment series row i={i}{note} vs engine, "
                        f"widths 4..{ks}", ok)
@@ -205,6 +208,7 @@ def suite_oracle(kmax: int) -> list[tuple[str, bool, str]]:
 
 
 # suite name -> (suite, default largest width, smallest width that checks
-# every law), in `verify --suite all` order; series row i=7 starts at width 8
+# every law), in `verify --suite all` order; mean series row i=7 is 0 below
+# width 8
 SUITES = {"roots": (suite_roots, 60, 3), "gaps": (suite_gaps, 40, 4),
           "tables": (suite_tables, 25, 8), "oracle": (suite_oracle, 8, 3)}

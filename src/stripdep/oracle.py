@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .process import BoundaryMode, MIN_WIDTH
+from .process import BoundaryMode, _check_width
 from .ratpoly import RationalPolynomial
 
 # Hard guard on the K! sweep. At K = 10 (3,628,800 orders) the cyclic sweep
@@ -50,8 +50,7 @@ class EnumerationLimitError(RuntimeError):
 
 
 def _check_enumeration_width(K: int) -> None:
-    if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+    _check_width(K)
     if K > MAX_ENUMERATION_WIDTH:
         raise EnumerationLimitError(K)
 

@@ -15,10 +15,12 @@ order of K ranks gives
     W_{K+1}(t) = (2 + (K-1) t) W_K(t) + 2 t (1 - t) W_K'(t),
 
 with W_0 = W_1 = 1: per coefficient, c_d t^d adds (2 + 2d) c_d to t^d and
-(K - 1 - 2d) c_d to t^{d+1}. A layer costs O(K) integer operations, and
-the counts stay integers: `aux_root_pgf` divides them by K! only to return
-its `RationalPolynomial`, and `verify roots` takes its moments straight from
-the counts.
+(K - 1 - 2d) c_d to t^{d+1}. A layer costs O(K) integer operations.
+`aux_root_layers` streams W_0, W_1, ... and holds one layer at a time, so
+a walk over widths costs one insertion per width and nothing is cached
+between calls. The counts stay integers: `aux_root_pgf` divides them by K!
+only to return its `RationalPolynomial`, and `verify roots` and
+`exact-roots` take their moments straight from the counts.
 
 The paper's first-step decomposition is kept as the reference engine
 (`first_step_root_counts`): the first deposit either extends a boundary
@@ -45,12 +47,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
+from collections.abc import Iterator
 
-from .process import MIN_WIDTH
+from .process import _check_width
 from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
 
 __all__ = [
     "aux_root_counts",
+    "aux_root_layers",
     "aux_root_pgf",
     "cyclic_root_pgf",
     "first_step_root_counts",
@@ -60,14 +65,6 @@ __all__ = [
     "asymptotic_root_pgf",
     "pole_position",
 ]
-
-# Two layers (n, W_n) are held: the highest reached so far and the last one
-# returned below it. A request starts from the higher of the two that is not
-# above it, so walking widths upward below the top costs one step per width.
-# Every layer up to K=1500 held at once would take about 600 MiB.
-_top: tuple[int, tuple[int, ...]] = (1, (1,))
-_last: tuple[int, tuple[int, ...]] = (1, (1,))
-_pgf_cache: dict[int, RationalPolynomial] = {}
 
 
 def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,32 +78,25 @@ def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def aux_root_layers(k_max: int) -> Iterator[tuple[int, ...]]:
+    """W_0, W_1, ..., W_{k_max}, each layer built from the one before."""
+    if k_max < 0:
+        raise ValueError(f"width must be non-negative, got {k_max}")
+    counts = (1,)                                 # W_0 = W_1 = 1
+    for n in range(k_max + 1):
+        yield counts
+        if 0 < n < k_max:
+            counts = _insert_largest(n, counts)
+
+
 def aux_root_counts(K: int) -> tuple[int, ...]:
     """Coefficients of W_K = K! * L_K: first-hit orders by root count."""
-    global _top, _last
-    if K < 0:
-        raise ValueError(f"width must be non-negative, got {K}")
-    if K < 2:
-        return (1,)                           # W_0 = W_1 = 1
-    n, counts = max((layer for layer in (_top, _last) if layer[0] <= K),
-                    key=lambda layer: layer[0], default=(1, (1,)))
-    while n < K:
-        counts = _insert_largest(n, counts)
-        n += 1
-    if K >= _top[0]:
-        _top = (K, counts)
-    else:
-        _last = (K, counts)
-    return counts
+    return deque(aux_root_layers(K), maxlen=1)[0]
 
 
 def aux_root_pgf(K: int) -> RationalPolynomial:
-    """PGF of the root count of the auxiliary process of width K; memoized."""
-    pgf = _pgf_cache.get(K)
-    if pgf is None:
-        pgf = _pgf_cache[K] = RationalPolynomial.from_counts(aux_root_counts(K),
-                                                             math.factorial(K))
-    return pgf
+    """PGF of the root count of the auxiliary process of width K."""
+    return RationalPolynomial.from_counts(aux_root_counts(K), math.factorial(K))
 
 
 def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
@@ -132,8 +122,7 @@ def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
 
 def cyclic_root_pgf(K: int) -> RationalPolynomial:
     """PGF of the final root count of the cyclic process of width K >= 3."""
-    if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+    _check_width(K)
     return aux_root_pgf(K - 1).shift(1)
 
 
@@ -180,7 +169,6 @@ def asymptotic_root_pgf(z: float, K: int) -> float:
     so the relative error shrinks geometrically. z = 1 is excluded (use the
     exact engine there).
     """
-    if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+    _check_width(K)
     rho = pole_position(z)
     return rho ** (-(K + 1)) / z

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripdep import gaps
+from stripdep import gaps, laws
 from stripdep.cli import main, parse_args
 
 
@@ -59,6 +60,27 @@ def test_simulate_csv_histograms(capsys):
     assert all(r[0] == "roots" for r in body)
     # config is embedded as comments
     assert any(l.startswith("# K=20") for l in out.splitlines())
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("stat", ["height-growth", "empirical-gap-average"])
+def test_simulate_one_run_of_a_real_statistic(capsys, stat):
+    argv = ("simulate", "--K", "10", "--stat", stat, "--n-steps", "100", "--runs", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        entry = json.loads(out, parse_constant=_reject_constant)["statistics"]
+        assert entry[stat.replace("-", "_")]["variance"] == 0.0
+        code, out, err_csv = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    body = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))[1:]
+    assert len(body) == 200
+    assert sum(int(r[2]) for r in body) == 1
+    assert "Warning" not in err + err_csv
 
 
 def test_simulate_gnuplot_files(tmp_path, capsys):
@@ -151,6 +173,15 @@ def test_verify_oracle_guard(capsys):
     assert code == 3
 
 
+def test_verify_all_checks_the_oracle_cap_before_any_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--kmax", "11")
+    assert code == 3
+    assert out == ""
+    assert "suite roots:" not in err
+    assert err == ("resource guard: enumeration over K! first-hit orders is capped "
+                   "at K = 10 (requested K = 11)\n")
+
+
 @pytest.mark.parametrize("suite", ["roots", "gaps", "tables", "oracle", "all"])
 @pytest.mark.parametrize("kmax", ["1", "2"])
 def test_verify_rejects_kmax_below_three(capsys, suite, kmax):
@@ -186,6 +217,41 @@ def test_verify_tables_at_its_smallest_kmax_checks_width_8_on_every_row(capsys):
     rows = [line for line in out.splitlines() if "series row" in line]
     assert len(rows) == 14
     assert all(line.startswith("PASS: ") and line.endswith("widths 4..8") for line in rows)
+
+
+def _series_rows(ks):
+    """Each of the 14 table series rows as (i, coefficients to x^(ks-1))."""
+    for i, (scale, num) in laws.MEAN_SERIES_ROWS.items():
+        yield i, laws.series_coefficients(num, scale, 2, ks)
+    for i, (scale, shift, lead, inner) in laws.FACTORIAL_SERIES_ROWS.items():
+        yield i, laws.series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
+
+
+def test_table_series_rows_are_zero_where_no_gap_fits():
+    # the coefficient of x^K is a moment at width K+1, which has no index-i
+    # gap when K+1 <= i
+    rows = list(_series_rows(25))
+    assert len(rows) == 14
+    for i, series in rows:
+        assert all(series[K] == 0 for K in range(3, i)), i
+
+
+def test_verify_tables_compares_every_series_row_at_every_labelled_width(monkeypatch,
+                                                                         capsys):
+    # bump each row at width 5: rows i >= 5 have no index-i gap there, so
+    # they fail only if the suite compares them with 0 at that width
+    series = laws.series_coefficients
+
+    def bumped(*args):
+        coeffs = series(*args)
+        coeffs[4] += 1
+        return coeffs
+
+    monkeypatch.setattr(laws, "series_coefficients", bumped)
+    _, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "8")
+    rows = [line for line in out.splitlines() if "series row" in line]
+    assert len(rows) == 14
+    assert all(line.startswith("FAIL: ") and line.endswith("widths 4..8") for line in rows)
 
 
 def test_oracle_gap_statistics_reject_aux_mode(capsys):
@@ -255,8 +321,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_gap_table_budget_guard_exits_3(monkeypatch, capsys):
-    small = gaps.GapRecursionTable(1, 3, coefficient_budget=10)
-    monkeypatch.setattr(gaps, "_table_cache", {1: small})
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", 10)
+    monkeypatch.setattr(gaps, "_table_cache", {})
     code, out, err = run_cli(capsys, "exact-gaps", "--K", "20", "--i", "1")
     assert code == 3
     assert out == ""

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from stripdep import gaps
 from stripdep.gaps import (
     AbcTriple,
     GapRecursionTable,
@@ -124,9 +125,11 @@ def test_stored_entries_are_pgfs_with_bounded_degree():
                     assert e.degree <= k // (i + 1) + 1
 
 
-def test_coefficient_budget_guard():
+def test_coefficient_budget_guard(monkeypatch):
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", 10)
+    monkeypatch.setattr(gaps, "_table_cache", {})
     with pytest.raises(TableBudgetError) as err:
-        GapRecursionTable(i=1, k_max=12, coefficient_budget=10)
+        gap_pgf_table(1, 12)
     assert err.value.state[2] >= 3
     assert "budget" in str(err.value)
 

@@ -1,9 +1,12 @@
 """Byte-level pins of CLI and demo stdout, with exit codes.
 
-Each case maps to ``(exit code, SHA-256 of stdout)``. The digests were
-recorded from the `Fraction`-based exact engines that preceded the integer
-count ones, so any change to a pinned output fails here. Regenerate a digest
-only for an intended output change, and say which one in CHANGES.md.
+Each case maps to ``(exit code, SHA-256 of stdout)``, and each error case
+also to its one stderr line. The digests were recorded from the
+`Fraction`-based exact engines that preceded the integer count ones, and
+those of the 200-wide, width 0..2 and error cases from the root engine that
+cached layers between calls, so any change to a pinned output fails here.
+Regenerate a digest only for an intended output change, and say which one
+in CHANGES.md.
 """
 
 import contextlib
@@ -37,7 +40,23 @@ CLI_CASES = {
                        "--format", "csv"),
     "exact-gaps-all-lengths-json": ("exact-gaps", "--kmax", "40",
                                     *(a for i in range(1, 8) for a in ("--i", str(i)))),
+    "exact-roots-cyclic-200-json": ("exact-roots", "--kmax", "200"),
+    "exact-roots-aux-200-json": ("exact-roots", "--kmax", "200", "--mode", "aux"),
+    "exact-roots-aux-K0": ("exact-roots", "--mode", "aux", "--K", "0"),
+    "exact-roots-aux-K1": ("exact-roots", "--mode", "aux", "--K", "1"),
+    "exact-roots-aux-K2": ("exact-roots", "--mode", "aux", "--K", "2"),
+    "exact-roots-K2-error": ("exact-roots", "--K", "2"),
+    "exact-roots-aux-K-1-error": ("exact-roots", "--K", "-1", "--mode", "aux"),
+    "exact-gaps-K2-error": ("exact-gaps", "--K", "2"),
 }
+
+ERROR_LINES = {
+    "exact-roots-K2-error": "error: substrate width must be >= 3, got 2\n",
+    "exact-roots-aux-K-1-error": "error: width must be non-negative, got -1\n",
+    "exact-gaps-K2-error": "error: substrate width must be >= 3, got 2\n",
+}
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 DEMOS = ("exact_gap_distributions.py", "exact_root_distributions.py")
 
@@ -66,6 +85,19 @@ GOLDEN = {
         (0, "14f93b371d21c33a6ac0fb2a668f771f94ebfe29170af2286d08b4ec07490b33"),
     "exact-gaps-all-lengths-json":
         (0, "9a01ba9f985228ac75417ddae86d9ecf37c46f7fdb1c1651334d2561272ad0fa"),
+    "exact-roots-cyclic-200-json":
+        (0, "440fd96983ffc1f8b931de3dca03f64b777d6fe1328f8851f2ef657d3a3916ed"),
+    "exact-roots-aux-200-json":
+        (0, "c93886f4175de440c30c394e2a6c93f91905a3db384ae7a501ac630439cefc40"),
+    "exact-roots-aux-K0":
+        (0, "239ba4ced9f09981b6b1f8ada6da5940648601a8b30ada437272c704389f06a3"),
+    "exact-roots-aux-K1":
+        (0, "c79ba032c8471fb644ec8fc5e4d825a284f347b8507f24a3ff5a2520aae6ef32"),
+    "exact-roots-aux-K2":
+        (0, "704004d1745b221926615c53a3e6d8f0aa46ea4e30f6a7d5f76e4485832fef52"),
+    "exact-roots-K2-error": (2, EMPTY),
+    "exact-roots-aux-K-1-error": (2, EMPTY),
+    "exact-gaps-K2-error": (2, EMPTY),
     "exact_gap_distributions.py":
         (0, "49cc90a2cb0a0b2bb8a3214a3af81c24ba79a0b2bcb773c607f0fa0e1ce676d5"),
     "exact_root_distributions.py":
@@ -77,12 +109,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cli_output(argv) -> tuple[int, str]:
-    """Exit code and stdout digest of one in-process CLI call."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def cli_output(argv) -> tuple[int, str, str]:
+    """Exit code, stdout digest and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, _digest(buf.getvalue())
+    return code, _digest(out.getvalue()), err.getvalue()
 
 
 def demo_output(script: str) -> tuple[int, str]:
@@ -100,7 +132,10 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_output_is_pinned(case):
-    assert cli_output(CLI_CASES[case]) == GOLDEN[case]
+    code, digest, err = cli_output(CLI_CASES[case])
+    assert (code, digest) == GOLDEN[case]
+    if case in ERROR_LINES:
+        assert err == ERROR_LINES[case]
 
 
 @pytest.mark.parametrize("script", DEMOS)

@@ -1,16 +1,20 @@
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripdep import roots
+from stripdep.cli import main
+from stripdep.laws import suite_roots
 from stripdep.oracle import enumerate_root_distribution
 from stripdep.process import BoundaryMode
 from stripdep.ratpoly import RationalPolynomial as P
 from stripdep.roots import (
     asymptotic_root_pgf,
     aux_root_counts,
+    aux_root_layers,
     aux_root_pgf,
     cyclic_root_pgf,
     first_step_root_counts,
@@ -126,26 +130,39 @@ def test_insertion_engine_equals_first_step_recursion_to_110():
         counts = aux_root_counts(K)
         assert counts == reference[K]
         assert sum(counts) == math.factorial(K)
-    # a width below the highest layer reached starts from a held layer
     assert aux_root_counts(5) == reference[5] == (16, 88, 16)
 
 
-def test_widths_below_the_top_layer_start_from_the_nearest_held_layer(monkeypatch):
-    monkeypatch.setattr(roots, "_top", (1, (1,)))
-    monkeypatch.setattr(roots, "_last", (1, (1,)))
+@pytest.fixture
+def insertions(monkeypatch):
+    """The width n of every W_n -> W_{n+1} insertion made while in use."""
     steps = []
     insert = roots._insert_largest
     monkeypatch.setattr(roots, "_insert_largest",
                         lambda n, counts: steps.append(n) or insert(n, counts))
-    aux_root_counts(500)
-    assert len(steps) == 499
-    steps.clear()
-    reference = first_step_root_counts(60)
-    for K in range(10, 61):
-        assert aux_root_counts(K) == reference[K]
-    # W_1 -> W_10, then one insertion per width; restarting every width from
-    # W_1 would take 1,734
-    assert len(steps) == 59
+    return steps
+
+
+def test_layer_stream_makes_one_insertion_per_width(insertions):
+    reference = first_step_root_counts(110)
+    for k in (0, 1, 2, 3, 4, 60, 110):
+        insertions.clear()
+        assert list(aux_root_layers(k)) == reference[:k + 1]
+        assert insertions == list(range(1, k))
+
+
+def test_layer_stream_rejects_negative_widths():
+    with pytest.raises(ValueError, match="width must be non-negative, got -1"):
+        next(aux_root_layers(-1))
+
+
+@pytest.mark.parametrize("argv", [("exact-roots", "--kmax", "120"),
+                                  ("exact-roots", "--kmax", "120", "--mode", "aux"),
+                                  ("verify", "--suite", "roots", "--kmax", "120")])
+def test_width_walks_stream_the_layers_once(insertions, capsys, argv):
+    # a cold walk per width would make about 7,000 insertions
+    assert main(list(argv)) == 0
+    assert len(insertions) <= 120
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,10 +172,9 @@ def test_root_pgfs_equal_enumeration_oracle(K, mode):
     assert engine == enumerate_root_distribution(K, mode).pgf()
 
 
-def _cyclic_root_cumulants(K):
+def _cyclic_root_cumulants(counts):
     """Mean and cumulants 2..4 of the cyclic root count at width K, from the
     integer counts of the auxiliary process at width K-1 (one extra root)."""
-    counts = aux_root_counts(K - 1)
     n = sum(counts)
     m1, m2, m3, m4 = (F(sum(c * (d + 1) ** j for d, c in enumerate(counts)), n)
                       for j in range(1, 5))
@@ -169,14 +185,16 @@ def _cyclic_root_cumulants(K):
 
 
 def test_root_third_and_fourth_cumulant_laws():
-    for K in range(3, 301):
-        _, _, k3, k4 = _cyclic_root_cumulants(K)
+    for K, counts in enumerate(islice(aux_root_layers(299), 2, None), 3):
+        _, _, k3, k4 = _cyclic_root_cumulants(counts)
         assert (k3 == F(-2 * K, 945)) == (K >= 7), K
         assert (k4 == F(-22 * K, 4725)) == (K >= 9), K
 
 
 def test_root_mean_and_variance_laws_at_large_widths():
-    for K in (150, 300, 500):
-        mean, var, _, _ = _cyclic_root_cumulants(K)
+    for K, counts in enumerate(aux_root_layers(499), 1):
+        if K not in (150, 300, 500):
+            continue
+        mean, var, _, _ = _cyclic_root_cumulants(counts)
         assert mean == F(K, 3)
         assert var == F(2 * K, 45)
