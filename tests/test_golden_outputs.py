@@ -4,7 +4,9 @@ Each case maps to ``(exit code, SHA-256 of stdout)``, and each error case
 also to its one stderr line. The digests were recorded from the
 `Fraction`-based exact engines that preceded the integer count ones, and
 those of the 200-wide, width 0..2 and error cases from the root engine that
-cached layers between calls, so any change to a pinned output fails here.
+cached layers between calls, and the `simulate` ones (with the `--gnuplot`
+files) from the ensemble that merged `Counter` histograms chunk by chunk, so
+any change to a pinned output fails here.
 Regenerate a digest only for an intended output change, and say which one
 in CHANGES.md.
 """
@@ -48,6 +50,44 @@ CLI_CASES = {
     "exact-roots-K2-error": ("exact-roots", "--K", "2"),
     "exact-roots-aux-K-1-error": ("exact-roots", "--K", "-1", "--mode", "aux"),
     "exact-gaps-K2-error": ("exact-gaps", "--K", "2"),
+}
+
+# `simulate` over both modes, each kind of statistic alone and together, two
+# workers over two chunks, one run, and the fast-path benchmark's width
+_ALL = ("--stat", "roots", "--stat", "gaps", "--stat", "empirical-gap-average")
+SIMULATE_CASES = {
+    "simulate-json": ("simulate", "--K", "30", "--runs", "3000", "--seed", "7", *_ALL,
+                      "--i", "1", "--i", "4"),
+    "simulate-threads2-json": ("simulate", "--K", "24", "--runs", "5000", "--seed", "11",
+                               "--threads", "2", *_ALL, "--i", "2"),
+    "simulate-aux-json": ("simulate", "--K", "25", "--mode", "aux", "--runs", "2000",
+                          "--seed", "5"),
+    "simulate-empirical-json": ("simulate", "--K", "40", "--runs", "1500", "--seed", "9",
+                                "--stat", "empirical-gap-average"),
+    "simulate-growth-json": ("simulate", "--K", "10", "--runs", "12", "--seed", "4",
+                             "--stat", "height-growth", "--n-steps", "400"),
+}
+SIMULATE_CASES.update({name.replace("json", "csv"): (*argv, "--format", "csv")
+                       for name, argv in list(SIMULATE_CASES.items())})
+SIMULATE_CASES.update({
+    "simulate-one-run-json": ("simulate", "--K", "12", "--runs", "1", "--seed", "2", *_ALL,
+                              "--stat", "height-growth", "--i", "1", "--n-steps", "100"),
+    "simulate-K1500-json": ("simulate", "--K", "1500", "--runs", "20000", "--seed", "1", *_ALL,
+                            *(a for i in range(1, 7) for a in ("--i", str(i)))),
+})
+CLI_CASES.update(SIMULATE_CASES)
+
+# one ensemble of every statistic; its stdout and each `--gnuplot` file
+GNUPLOT_CASE = ("simulate", "--K", "12", "--runs", "300", "--seed", "3", *_ALL,
+                "--stat", "height-growth", "--i", "1", "--i", "2", "--n-steps", "100")
+GNUPLOT_GOLDEN = {
+    "stdout": (0, "6a9e72c54393cff0b638567968cf633f12a20861d739f68acec60259fa925ea2"),
+    "h_empirical_gap_average.dat":
+        "bb1b62225fcadb75a928925224d241e52a759093dcd7c4415a3d5120a05c1df4",
+    "h_gaps_1.dat": "47b0390090ee9c7df6badaa21f88501fc2cb86b6977c18f18b46b0567687af6b",
+    "h_gaps_2.dat": "4d0eb74be883bdba80aa60c7f7a96a5bbd96b4fb4d6051c684067f0690ad0804",
+    "h_height_growth.dat": "b9eedf45d9b43432d15c7b372efb0c24e8ed5928e51ee08610b08fec3169338b",
+    "h_roots.dat": "612c4604014595f8d4cf5b5ae5c1755899f517e065ae490ec6a4b6371ad69d05",
 }
 
 ERROR_LINES = {
@@ -98,6 +138,30 @@ GOLDEN = {
     "exact-roots-K2-error": (2, EMPTY),
     "exact-roots-aux-K-1-error": (2, EMPTY),
     "exact-gaps-K2-error": (2, EMPTY),
+    "simulate-json":
+        (0, "66bf289e46dcf2d9d83043f250bde825cd743fa3e314a13cdb70b42b2ef6d707"),
+    "simulate-csv":
+        (0, "6c3d13b86be241ecc73755f5f9c58ef13826671676afc8f9639f7c064af18e2c"),
+    "simulate-threads2-json":
+        (0, "7a8fc656c22c8ebbc80cf59a275999267c2e25cb2213ac43d8141530d8249cd9"),
+    "simulate-threads2-csv":
+        (0, "24609c96d32b919170b43ed4f590a563c741219b7c437b86b0544f5937e3fed1"),
+    "simulate-aux-json":
+        (0, "6e2f587bd84b6f579fd4182402c3f8aae1f237e10f96f34ac8c083d6ca2fd9bf"),
+    "simulate-aux-csv":
+        (0, "1d49b6b9345126f84aa0e78afa87b0f768422493e1c6f31a1b28285c573f9622"),
+    "simulate-empirical-json":
+        (0, "3f793961d6f6eddb4a5e7522dd8d11dc96a9d7c4c16622613cb6fbfa48444459"),
+    "simulate-empirical-csv":
+        (0, "d172ef591a4718d36c08ffae19cc33dcd0078b5a32ea6b2d5cfc602d9cbb1542"),
+    "simulate-growth-json":
+        (0, "7c045ab2deef231ae666d3a56cb1ab5b07202bb647259194e7a93bb44501cc47"),
+    "simulate-growth-csv":
+        (0, "7dab0b32977900920d810ac2390fc3187c4eedde40f141264323fffee8461a8f"),
+    "simulate-one-run-json":
+        (0, "b39a1a4a0887a57911411c63fed79f90c00e7607ce681a1703401d7d2af487ba"),
+    "simulate-K1500-json":
+        (0, "11fe061ac4feb1e07e1477f8d7c5a4e98aec74f6b4eb733518de04c54fe75bfd"),
     "exact_gap_distributions.py":
         (0, "49cc90a2cb0a0b2bb8a3214a3af81c24ba79a0b2bcb773c607f0fa0e1ce676d5"),
     "exact_root_distributions.py":
@@ -136,6 +200,12 @@ def test_cli_output_is_pinned(case):
     assert (code, digest) == GOLDEN[case]
     if case in ERROR_LINES:
         assert err == ERROR_LINES[case]
+
+
+def test_simulate_gnuplot_files_are_pinned(tmp_path):
+    code, digest, _ = cli_output((*GNUPLOT_CASE, "--gnuplot", str(tmp_path / "h_")))
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert {"stdout": (code, digest), **files} == GNUPLOT_GOLDEN
 
 
 @pytest.mark.parametrize("script", DEMOS)
