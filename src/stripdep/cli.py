@@ -190,7 +190,7 @@ def _apply_config_file(path, subparsers):
 def _cmd_simulate(args) -> int:
     if args.K is None:
         raise EnsembleConfigError("simulate requires --K")
-    statistics = tuple(dict.fromkeys(s.replace("-", "_") for s in args.stat or ["roots"]))
+    statistics = tuple(s.replace("-", "_") for s in args.stat or ["roots"])
     cfg = EnsembleConfig(
         K=args.K,
         mode=_MODES[args.mode],
@@ -280,7 +280,7 @@ def _cmd_exact_roots(args) -> int:
 
 
 def _cmd_exact_gaps(args) -> int:
-    lengths = args.i or [1]
+    lengths = list(dict.fromkeys(args.i or [1]))
     if min(lengths) < 1:
         raise EnsembleConfigError(f"gap lengths must be >= 1, got {lengths}")
     widths = _k_range(args)
@@ -302,7 +302,7 @@ def _cmd_oracle(args) -> int:
     mode = _MODES[args.mode]
     if args.i and mode is not BoundaryMode.CYCLIC:
         raise EnsembleConfigError("gap statistics are defined for --mode cyclic only")
-    dists = ([enumerate_gap_distribution(args.K, i) for i in args.i] if args.i
+    dists = ([enumerate_gap_distribution(args.K, i) for i in dict.fromkeys(args.i)] if args.i
              else [enumerate_root_distribution(args.K, mode)])
     config = {"engine": "oracle", "K": args.K, "mode": args.mode,
               "max_width": MAX_ENUMERATION_WIDTH}

@@ -13,17 +13,22 @@ Runs are drawn into ``(BLOCK, K)`` blocks of first-hit ranks: each row is
 its run's own stream shuffling ``arange(K)``, the same draw as
 ``Generator.permutation(K)``, so blocking, like chunking, changes no sample.
 One kernel (`block_tallies`) then finds the roots and tallies the requested
-gap lengths of the whole block with a few numpy calls, and each chunk
-reduces its per-run counts to histograms once.
+gap lengths of the whole block with a few numpy calls.
 `process.roots_from_permutation` and `process.gap_vector` stay the
 independent per-run reference that the tests compare the kernel against.
+
+An ensemble keeps its per-run results in run order and nothing else: the
+root counts (int32), one int32 column of gap counts per gap length, and the
+height-growth samples (float64). Histograms, moments and the empirical gap
+average ``K / roots - 1`` are all read from these arrays, so the store costs
+``4 * (1 + G)`` bytes per run for ``G`` gap lengths, plus 8 per run with
+height growth.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -68,14 +73,17 @@ class EnsembleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "statistics", tuple(self.statistics))
-        object.__setattr__(self, "gap_lengths", tuple(self.gap_lengths))
+        # a repeated statistic or gap length is collected once
+        object.__setattr__(self, "statistics", tuple(dict.fromkeys(self.statistics)))
+        object.__setattr__(self, "gap_lengths", tuple(dict.fromkeys(self.gap_lengths)))
         if self.K < MIN_WIDTH:
             raise EnsembleConfigError(f"substrate width must be >= {MIN_WIDTH}, got {self.K}")
         if self.runs < 1:
             raise EnsembleConfigError(f"runs must be >= 1, got {self.runs}")
         if self.workers < 1:
             raise EnsembleConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.base_seed < 0:
+            raise EnsembleConfigError(f"seed must be >= 0, got {self.base_seed}")
         if not self.statistics:
             raise EnsembleConfigError("at least one statistic is required")
         unknown = [s for s in self.statistics if s not in VALID_STATISTICS]
@@ -91,6 +99,9 @@ class EnsembleConfig:
             bad = [i for i in self.gap_lengths if not 1 <= i <= self.K - 1]
             if bad:
                 raise EnsembleConfigError(f"gap lengths {bad} out of range 1..{self.K - 1}")
+        elif self.gap_lengths:
+            raise EnsembleConfigError(
+                f"gap lengths {list(self.gap_lengths)} need the {STAT_GAPS!r} statistic")
         if STAT_GROWTH in self.statistics:
             if not 1 <= self.growth_steps <= MAX_STEPS:
                 raise EnsembleConfigError(
@@ -133,12 +144,17 @@ def normalized_ks_statistic(samples, mean: float, sd: float) -> float:
     if not np.isfinite(sd) or sd <= 0:
         raise ValueError(f"standard deviation must be positive and finite, got {sd}")
     from scipy.special import ndtr     # scipy costs most of this module's import time
-    z = np.sort((arr - mean) / sd)
+    # worked in place, so that at most four arrays of the sample size are live
+    z = arr - mean
+    z /= sd
+    z.sort()
     cdf = ndtr(z)
     n = z.size
-    steps = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = float(np.max(steps - cdf))
-    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
+    steps = np.arange(1, n + 1, dtype=np.float64)
+    steps /= n
+    d_plus = float(np.max(np.subtract(steps, cdf, out=z)))
+    steps -= 1.0 / n
+    d_minus = float(np.max(np.subtract(cdf, steps, out=z)))
     return max(d_plus, d_minus)
 
 
@@ -205,25 +221,20 @@ def block_tallies(ranks: np.ndarray, mode: BoundaryMode,
     return cards, tally.reshape(B, G + 1)[:, :G]
 
 
-def _histogram(values: np.ndarray) -> Counter:
-    keys, counts = np.unique(values, return_counts=True)
-    return Counter(dict(zip(keys.tolist(), counts.tolist())))
-
-
-def _simulate_chunk(cfg: EnsembleConfig, start: int, stop: int) -> dict:
-    """Simulate runs [start, stop); pure function of its arguments."""
+def _simulate_chunk(cfg: EnsembleConfig, start: int,
+                    stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate runs [start, stop); pure function of its arguments. Returns
+    each run's root count, its ``(runs, G)`` gap counts and its growth
+    sample, in run order; the root counts and growth samples are empty when
+    no statistic needs them."""
     K = cfg.K
-    want_roots = STAT_ROOTS in cfg.statistics
-    want_gaps = STAT_GAPS in cfg.statistics
-    want_emp = STAT_EMPIRICAL in cfg.statistics
     want_growth = STAT_GROWTH in cfg.statistics
-    needs_perm = want_roots or want_gaps or want_emp
-    lengths = tuple(dict.fromkeys(cfg.gap_lengths)) if want_gaps else ()
+    needs_perm = any(s != STAT_GROWTH for s in cfg.statistics)
 
     n = stop - start
-    cards = np.zeros(n, dtype=np.int64)
-    gaps = np.zeros((n, len(lengths)), dtype=np.int64)
-    growth_samples = []
+    cards = np.zeros(n if needs_perm else 0, dtype=np.int32)
+    gaps = np.zeros((n, len(cfg.gap_lengths)), dtype=np.int32)
+    growth = np.zeros(n if want_growth else 0, dtype=np.float64)
     block = np.empty((BLOCK, K), dtype=np.int32)
 
     for lo in range(0, n, BLOCK):
@@ -238,87 +249,63 @@ def _simulate_chunk(cfg: EnsembleConfig, start: int, stop: int) -> dict:
                 rng.shuffle(row)
             if want_growth:
                 # continues the same per-run stream after any permutation draw
-                growth_samples.append(height_growth_estimate(K, cfg.growth_steps, rng))
+                growth[lo + r] = height_growth_estimate(K, cfg.growth_steps, rng)
         if needs_perm:
             hi = lo + len(rows)
-            cards[lo:hi], gaps[lo:hi] = block_tallies(rows, cfg.mode, lengths)
-
-    gap_hists = {i: Counter() for i in cfg.gap_lengths}
-    for i in cfg.gap_lengths:            # a repeated length is tallied once per repeat
-        gap_hists[i].update(_histogram(gaps[:, lengths.index(i)]))
-    return {
-        "runs": n,
-        "roots": _histogram(cards) if want_roots else Counter(),
-        "gaps": gap_hists,
-        "empirical": K / cards - 1.0 if want_emp else np.empty(0, dtype=np.float64),
-        "growth": np.asarray(growth_samples, dtype=np.float64),
-    }
+            cards[lo:hi], gaps[lo:hi] = block_tallies(rows, cfg.mode, cfg.gap_lengths)
+    return cards, gaps, growth
 
 
 class EnsembleStats:
-    """Aggregated ensemble results: histograms for integer statistics,
-    sample buffers for real-valued ones."""
+    """An ensemble's per-run results, in run order: ``root_counts``,
+    ``gap_counts`` (one column per configured gap length) and
+    ``growth_samples``. Every statistic is read from these arrays; reading
+    one the configuration did not collect raises `KeyError`."""
 
-    def __init__(self, config: EnsembleConfig):
+    def __init__(self, config: EnsembleConfig, chunks):
         self.config = config
-        self.runs = 0
-        self.root_histogram: Counter = Counter()
-        self.gap_histograms: dict[int, Counter] = {i: Counter() for i in config.gap_lengths}
-        self.empirical_samples = np.empty(0, dtype=np.float64)
-        self.growth_samples = np.empty(0, dtype=np.float64)
+        self.runs = config.runs
+        cards, gaps, growth = zip(*chunks)
+        self.root_counts = np.concatenate(cards)
+        self.gap_counts = np.concatenate(gaps)
+        self.growth_samples = np.concatenate(growth)
         self.runtime_seconds: float | None = None
         self.generator_id = GENERATOR_ID
 
-    def _absorb(self, chunks) -> None:
-        """Fold chunk results, in run order, into this aggregate."""
-        empirical, growth = [self.empirical_samples], [self.growth_samples]
-        for chunk in chunks:
-            self.runs += chunk["runs"]
-            self.root_histogram.update(chunk["roots"])
-            for i, c in chunk["gaps"].items():
-                self.gap_histograms[i].update(c)
-            empirical.append(chunk["empirical"])
-            growth.append(chunk["growth"])
-        self.empirical_samples = np.concatenate(empirical)
-        self.growth_samples = np.concatenate(growth)
-
-    # ---- integer statistics -------------------------------------------------
-
-    def _int_histogram(self, statistic: str, i: int | None) -> Counter:
+    def _per_run(self, statistic: str, i: int | None) -> np.ndarray:
+        """One statistic's value for each run, in run order."""
+        if statistic not in self.config.statistics:
+            raise KeyError(f"{statistic} is not collected in this ensemble")
         if statistic == STAT_ROOTS:
-            return self.root_histogram
+            return self.root_counts
         if statistic == STAT_GAPS:
-            if i not in self.gap_histograms:
+            if i not in self.config.gap_lengths:
                 raise KeyError(f"gap length {i} not in this ensemble")
-            return self.gap_histograms[i]
-        raise KeyError(f"{statistic} is not an integer statistic")
-
-    def _int_values(self, statistic: str, i: int | None) -> np.ndarray:
-        hist = self._int_histogram(statistic, i)
-        values = np.array(sorted(hist), dtype=np.int64)
-        counts = np.array([hist[v] for v in values], dtype=np.int64)
-        return np.repeat(values, counts).astype(np.float64)
-
-    # ---- generic access -----------------------------------------------------
+            return self.gap_counts[:, self.config.gap_lengths.index(i)]
+        if statistic == STAT_EMPIRICAL:
+            return self.config.K / self.root_counts - 1.0
+        return self.growth_samples
 
     def samples(self, statistic: str, i: int | None = None) -> np.ndarray:
-        if statistic == STAT_EMPIRICAL:
-            return self.empirical_samples
-        if statistic == STAT_GROWTH:
-            return self.growth_samples
-        return self._int_values(statistic, i)
+        """Real statistics in run order; integer ones sorted, as float64."""
+        values = self._per_run(statistic, i)
+        if statistic in (STAT_ROOTS, STAT_GAPS):
+            values = values.astype(np.float64)
+            values.sort()
+        return values
 
     def mean(self, statistic: str, i: int | None = None) -> float:
         if statistic in (STAT_ROOTS, STAT_GAPS):
-            hist = self._int_histogram(statistic, i)
+            hist = self.histogram(statistic, i)
             n = sum(hist.values())
             return sum(v * c for v, c in hist.items()) / n
         return float(np.mean(self.samples(statistic)))
 
     def variance(self, statistic: str, i: int | None = None) -> float:
-        """Unbiased sample variance; 0.0 below two samples."""
+        """Unbiased sample variance; 0.0 below two samples. Integer
+        statistics sum in Python integers, which cannot overflow."""
         if statistic in (STAT_ROOTS, STAT_GAPS):
-            hist = self._int_histogram(statistic, i)
+            hist = self.histogram(statistic, i)
             n = sum(hist.values())
             if n < 2:
                 return 0.0
@@ -342,10 +329,11 @@ class EnsembleStats:
         Real statistics: (bin_edges, counts) with 200 uniform bins over
         mean +/- 5 sample standard deviations."""
         if statistic in (STAT_ROOTS, STAT_GAPS):
-            return dict(sorted(self._int_histogram(statistic, i).items()))
+            values, counts = np.unique(self._per_run(statistic, i), return_counts=True)
+            return dict(zip(values.tolist(), counts.tolist()))
+        sd = math.sqrt(self.variance(statistic)) or 1.0
         samples = self.samples(statistic)
         m = float(np.mean(samples))
-        sd = math.sqrt(self.variance(statistic)) or 1.0
         counts, edges = np.histogram(samples, bins=200, range=(m - 5 * sd, m + 5 * sd))
         return edges, counts
 
@@ -362,13 +350,14 @@ class EnsembleStats:
         """One statistic's histogram as CSV: "# key=value" config lines, then
         "statistic,bin,count" rows labelled with the statistic (gaps[i])."""
         label = f"gaps[{i}]" if statistic == STAT_GAPS else statistic
+        series = self.histogram_series(statistic, i)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             for key, value in sorted(self.config.to_json_dict().items()):
                 fh.write(f"# {key}={value}\n")
             fh.write("statistic,bin,count\n")
-            for b, c in self.histogram_series(statistic, i):
+            for b, c in series:
                 fh.write(f"{label},{b},{c}\n")
 
     def summary_dict(self) -> dict:
@@ -376,7 +365,7 @@ class EnsembleStats:
         stats: dict[str, dict] = {}
         def entry_for(s, i=None):
             e = {"mean": self.mean(s, i), "variance": self.variance(s, i)}
-            if self.runs > 1 and self.variance(s, i) > 0:
+            if self.runs > 1 and e["variance"] > 0:
                 e["ks_normal"] = self.ks_normal(s, i)
             return e
         for s in self.config.statistics:
@@ -397,12 +386,11 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     started = time.perf_counter()
     starts = range(0, cfg.runs, CHUNK_SIZE)
     stops = [min(s + CHUNK_SIZE, cfg.runs) for s in starts]
-    stats = EnsembleStats(cfg)
     if cfg.workers == 1 or len(starts) == 1:
-        stats._absorb(map(_simulate_chunk, repeat(cfg), starts, stops))
+        stats = EnsembleStats(cfg, map(_simulate_chunk, repeat(cfg), starts, stops))
     else:
         # Executor.map yields the results in submission order, i.e. run order
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            stats._absorb(pool.map(_simulate_chunk, repeat(cfg), starts, stops))
+            stats = EnsembleStats(cfg, pool.map(_simulate_chunk, repeat(cfg), starts, stops))
     stats.runtime_seconds = time.perf_counter() - started
     return stats

@@ -39,6 +39,28 @@ def test_simulate_gap_statistics_need_lengths(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("single, repeat", [
+    (("simulate", "--K", "12", "--runs", "100", "--seed", "1", "--stat", "gaps", "--i", "2"),
+     ("--i", "2", "--stat", "gaps")),
+    (("exact-gaps", "--K", "6", "--i", "1"), ("--i", "1")),
+    (("oracle", "--K", "5", "--i", "1"), ("--i", "1")),
+])
+def test_a_repeated_gap_length_is_reported_once(capsys, single, repeat):
+    code, out, _ = run_cli(capsys, *single)
+    assert code == 0
+    assert run_cli(capsys, *single, *repeat)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--K", "10", "--runs", "5", "--stat", "roots", "--i", "3"),
+     "error: gap lengths [3] need the 'gaps' statistic\n"),
+    (("--K", "10", "--runs", "5", "--seed", "-1"), "error: seed must be >= 0, got -1\n"),
+])
+def test_simulate_names_the_inconsistent_setting(capsys, argv, message):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_simulate_outputs_are_deterministic(capsys):
     argv = ("simulate", "--K", "40", "--runs", "400", "--seed", "1",
             "--stat", "gaps", "--i", "1", "--i", "2")

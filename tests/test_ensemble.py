@@ -55,6 +55,18 @@ def test_config_validation():
         EnsembleConfig(K=10, statistics=("height_growth",))  # no steps
     with pytest.raises(EnsembleConfigError):
         EnsembleConfig(K=10, workers=0)
+    with pytest.raises(EnsembleConfigError, match="seed must be >= 0, got -1"):
+        EnsembleConfig(K=10, base_seed=-1)
+    with pytest.raises(EnsembleConfigError, match="gap lengths \\[3\\] need the 'gaps' statistic"):
+        EnsembleConfig(K=10, gap_lengths=(3,))
+
+
+def test_config_collects_a_repeated_statistic_or_gap_length_once():
+    cfg = EnsembleConfig(K=12, statistics=("gaps", "roots", "gaps"), gap_lengths=(2, 1, 2))
+    assert (cfg.statistics, cfg.gap_lengths) == (("gaps", "roots"), (2, 1))
+    stats = run_ensemble(EnsembleConfig(K=12, runs=100, base_seed=1, statistics=("gaps",),
+                                        gap_lengths=(2, 2)))
+    assert sum(stats.histogram("gaps", 2).values()) == 100
 
 
 def test_run_stream_reproducibility():
@@ -69,8 +81,9 @@ def test_same_config_same_results():
     cfg = EnsembleConfig(K=25, runs=4000, base_seed=5,
                          statistics=("roots", "empirical_gap_average"))
     s1, s2 = run_ensemble(cfg), run_ensemble(cfg)
-    assert s1.root_histogram == s2.root_histogram
-    assert np.array_equal(s1.empirical_samples, s2.empirical_samples)
+    assert s1.histogram("roots") == s2.histogram("roots")
+    assert np.array_equal(s1.samples("empirical_gap_average"),
+                          s2.samples("empirical_gap_average"))
     assert s1.summary_dict() == s2.summary_dict()
 
 
@@ -80,15 +93,17 @@ def test_worker_count_does_not_change_results():
                   gap_lengths=(1, 3))
     s1 = run_ensemble(EnsembleConfig(workers=1, **kwargs))
     s2 = run_ensemble(EnsembleConfig(workers=4, **kwargs))
-    assert s1.root_histogram == s2.root_histogram
-    assert s1.gap_histograms == s2.gap_histograms
-    assert np.array_equal(s1.empirical_samples, s2.empirical_samples)
+    assert s1.histogram("roots") == s2.histogram("roots")
+    for i in (1, 3):
+        assert s1.histogram("gaps", i) == s2.histogram("gaps", i)
+    assert np.array_equal(s1.samples("empirical_gap_average"),
+                          s2.samples("empirical_gap_average"))
     assert s1.summary_dict()["statistics"] == s2.summary_dict()["statistics"]
 
 
 def test_width_three_roots_are_constant():
     stats = run_ensemble(EnsembleConfig(K=3, runs=500, base_seed=1))
-    assert stats.root_histogram == {1: 500}
+    assert stats.histogram("roots") == {1: 500}
 
 
 def test_auxiliary_mode_root_mean():
@@ -103,9 +118,9 @@ def test_histogram_totals_match_runs():
     cfg = EnsembleConfig(K=12, runs=2500, base_seed=2,
                          statistics=("roots", "gaps"), gap_lengths=(1, 2, 11))
     stats = run_ensemble(cfg)
-    assert sum(stats.root_histogram.values()) == cfg.runs
+    assert sum(stats.histogram("roots").values()) == cfg.runs
     for i in (1, 2, 11):
-        assert sum(stats.gap_histograms[i].values()) == cfg.runs
+        assert sum(stats.histogram("gaps", i).values()) == cfg.runs
 
 
 def test_statistical_sanity_small_width():
@@ -132,7 +147,7 @@ def test_empirical_gap_average_values():
 def test_empirical_gap_average_ensemble():
     stats = run_ensemble(EnsembleConfig(K=3, runs=100, base_seed=4,
                                         statistics=("empirical_gap_average",)))
-    assert np.all(stats.empirical_samples == 2.0)
+    assert np.all(stats.samples("empirical_gap_average") == 2.0)
 
 
 def test_normalized_ks_statistic_self_test():
@@ -200,7 +215,7 @@ def test_write_histogram_csv_format(tmp_path):
     text = path.read_bytes().decode()
     assert "\r" not in text and text.endswith("\n")
     assert text.split("\n")[:-1] == header + [
-        f"gaps[2],{v},{c}" for v, c in sorted(stats.gap_histograms[2].items())]
+        f"gaps[2],{v},{c}" for v, c in stats.histogram("gaps", 2).items()]
 
     path = tmp_path / "average.csv"
     stats.write_histogram_csv(path, "empirical_gap_average")
@@ -228,7 +243,7 @@ def test_golden_small_ensemble(capsys):
     assert stats.histogram_series("roots") == [(2, 1), (3, 15), (4, 35), (5, 13)]
     assert stats.histogram_series("gaps", 1) == [(0, 9), (1, 26), (2, 15), (3, 12), (4, 2)]
     assert stats.histogram_series("gaps", 2) == [(0, 19), (1, 14), (2, 30), (4, 1)]
-    samples = stats.empirical_samples.tobytes() + stats.growth_samples.tobytes()
+    samples = stats.samples("empirical_gap_average").tobytes() + stats.growth_samples.tobytes()
     assert hashlib.sha256(samples).hexdigest() == (
         "8cc7ac13c8382bc6dcaa804c12761639a2c65334525addae3dc3fe34af7ccf7f")
 
@@ -258,7 +273,7 @@ def test_golden_ensemble_across_blocks_and_chunks(workers):
     digest = lambda b: hashlib.sha256(b).hexdigest()
     assert digest(json.dumps(hists).encode()) == (
         "c09a340027a3da18ba78da1b991f343539ca4ba6bccecee30685b6bea7bf7054")
-    assert digest(stats.empirical_samples.tobytes()) == (
+    assert digest(stats.samples("empirical_gap_average").tobytes()) == (
         "3b2d6b576ad63b90db01e6c1982480265c92c998f5778abf0d1875c51bafdae1")
     assert digest(stats.growth_samples.tobytes()) == (
         "54621a13963e012f3bc9947d91810b7116c7be7356609a7dbdfbe09ca2d091d8")
@@ -318,11 +333,12 @@ def test_ensemble_matches_per_run_permutations(K, runs, mode, seed):
     stats = run_ensemble(EnsembleConfig(K=K, mode=mode, runs=runs, base_seed=seed,
                                         statistics=statistics, gap_lengths=lengths))
     roots = [_reference(run_stream(seed, j).permutation(K), mode) for j in range(runs)]
-    assert stats.root_histogram == Counter(r.card for r in roots)
+    assert stats.histogram("roots") == Counter(r.card for r in roots)
     for i in lengths:
-        assert stats.gap_histograms[i] == Counter(gap_vector(r).count(i) for r in roots)
+        assert stats.histogram("gaps", i) == Counter(gap_vector(r).count(i) for r in roots)
     if lengths:
-        assert stats.empirical_samples.tolist() == [empirical_gap_average(r) for r in roots]
+        assert stats.samples("empirical_gap_average").tolist() == [
+            empirical_gap_average(r) for r in roots]
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,6 +365,26 @@ def test_block_kernel_rejects_gaps_it_cannot_tally():
         block_tallies(np.array([[2, 0, 1, 3]]), BoundaryMode.AUXILIARY, (1,))
     with pytest.raises(ValueError):                 # tied ranks, no root
         block_tallies(np.array([[2, 0, 1, 3], [1, 1, 1, 1]]), BoundaryMode.CYCLIC, (1,))
+
+
+@pytest.mark.parametrize("collected, statistic, i", [
+    (("gaps",), "roots", None),
+    (("gaps",), "gaps", 5),
+    (("roots",), "empirical_gap_average", None),
+    (("roots",), "height_growth", None),
+    (("empirical_gap_average",), "roots", None),
+    (("roots",), "nonsense", None),
+])
+def test_every_accessor_rejects_a_statistic_not_collected(tmp_path, collected, statistic, i):
+    stats = run_ensemble(EnsembleConfig(K=12, runs=20, base_seed=1, statistics=collected,
+                                        gap_lengths=(1,) if "gaps" in collected else ()))
+    path = tmp_path / "h.csv"
+    for accessor in (stats.samples, stats.mean, stats.variance, stats.ks_normal,
+                     stats.histogram, stats.histogram_series,
+                     lambda s, i: stats.write_histogram_csv(path, s, i)):
+        with pytest.raises(KeyError):
+            accessor(statistic, i)
+    assert not path.exists()
 
 
 def test_summary_embeds_config_and_generator():
