@@ -120,10 +120,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def common(p, *, runs=False, stats=False):
         p.add_argument("--K", type=int, help="substrate width (>= 3)")
         p.add_argument("--mode", choices=sorted(_MODES), default="cyclic")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if runs:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--runs", type=int, default=200_000)
             p.add_argument("--threads", type=int, default=1)
         if stats:

@@ -73,6 +73,12 @@ class EnsembleConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a string is iterable too, and would be taken apart into characters
+        for name, example in (("statistics", (STAT_ROOTS,)), ("gap_lengths", (1, 2))):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise EnsembleConfigError(
+                    f"{name} must be a tuple such as {example!r}, got the string {value!r}")
         # a repeated statistic or gap length is collected once
         object.__setattr__(self, "statistics", tuple(dict.fromkeys(self.statistics)))
         object.__setattr__(self, "gap_lengths", tuple(dict.fromkeys(self.gap_lengths)))

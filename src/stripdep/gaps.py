@@ -22,11 +22,23 @@ A block of l >= i+1 sites already makes its root's gap longer than i, so N
 depends on l only through l' = min(l, i+1), on r the same way: the table's
 states are the capped triples (l', r', m), O(i^2 k) of them instead of
 O(k^3). An interval is an index-i gap exactly when l' < i+1, r' < i+1 and
-l' + r' + m == i. Reflection symmetry keeps only l' <= r'. Each stored
-entry is checked to be non-negative with coefficients summing to m!. The
-gap count of the full ring is the state (0, 0, K-1): `gap_moments` reads
-its moments straight from the counts, and `entry` divides by m! only to
-return a `RationalPolynomial`.
+l' + r' + m == i. Reflection symmetry keeps only l' <= r'. The gap count
+of the full ring is the state (0, 0, K-1): `gap_moments` reads its moments
+straight from the counts, and `entry` divides by m! only to return a
+`RationalPolynomial`.
+
+Each entry N(l', r', m) is one Python int (Kronecker substitution): the
+coefficient of u^p sits in bytes [p*w, (p+1)*w), with the slot width w
+chosen so that 2^(8w) > k_max!. Every coefficient of an entry, and of every
+product and partial sum in the rule above, is a count of first-hit orders
+of at most m <= k_max sites, so it is at most m! and no carry crosses a
+slot; adding and multiplying the ints then adds and multiplies the
+polynomials, and the convolution is one C-level sum of products. The
+entries sit in rows by (l', r'), indexed by m from the boundary states up,
+with rows[l'][r'] and rows[r'][l'] the same list. Each stored entry is
+checked to be non-negative with slots summing to m!, which a carry would
+break. Extending a table past its slot width repacks the rows into slots
+at least twice as wide. `counts` and `stored_counts` unpack on read.
 
 A second, much cheaper engine covers i = 1: the interval PGFs for unit gaps
 collapse onto a triple of polynomial sequences (a_K, b_K, c_K) driven by
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .process import MIN_WIDTH, _check_width
 from .ratpoly import MomentSummary, RationalPolynomial, count_moments
@@ -63,6 +76,8 @@ class TableBudgetError(RuntimeError):
         self.budget = budget
 
 
+# coefficient lists for `abc_recursion`, whose counts can be negative and so
+# cannot be packed into slots
 def _mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for p, x in enumerate(a):
@@ -78,12 +93,29 @@ def _add_into(acc: list[int], poly: list[int], weight: int = 1) -> None:
         acc[p] += weight * c
 
 
+def _slot_bytes(k_max: int) -> int:
+    """Smallest slot width w, in bytes, with 2^(8w) > k_max!."""
+    return (math.factorial(k_max).bit_length() + 7) // 8
+
+
+def _pack(coefficients, width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coefficients),
+                          "little")
+
+
+def _unpack(packed: int, width: int) -> tuple[int, ...]:
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return tuple(int.from_bytes(raw[j:j + width], "little")
+                 for j in range(0, len(raw), width))
+
+
 class GapRecursionTable:
     """Interval PGFs E(u^gap count) for one gap index i.
 
     Stores integer counts N = m! * E over the capped states (l', r', m) with
-    m >= 3 and l' <= r'; boundary states (m <= 2) are synthesized on demand.
-    `counts` and `entry` accept any interval state (l, r, k) with k <= k_max.
+    m >= 3 and l' <= r', each packed into one int; boundary states (m <= 2)
+    head every row. `counts` and `entry` accept any interval state (l, r, k)
+    with k <= k_max.
     """
 
     def __init__(self, i: int, k_max: int):
@@ -94,38 +126,53 @@ class GapRecursionTable:
         self.i = i
         self.k_max = -1
         self._cap = i + 1
-        self._counts: dict[tuple[int, int, int], list[int]] = {}
+        self._width = 0
+        # rows[l'][r'][m] is the packed N(l', r', m), boundary states m <= 2
+        # included; rows[l'][r'] is rows[r'][l']
+        self._rows = [[None] * (self._cap + 1) for _ in range(self._cap + 1)]
+        for l in range(self._cap + 1):
+            for r in range(l, self._cap + 1):
+                self._rows[l][r] = self._rows[r][l] = []
+        # weights[m] = C(m-1, m1) for m1 = 1..m-2
+        self._weights: list[tuple[int, ...]] = []
         self._stored_coefficients = 0
         self.extend(k_max)
 
-    def _boundary(self, l: int, r: int, m: int) -> list[int]:
+    def _boundary(self, l: int, r: int, m: int) -> int:
         if l < self._cap and r < self._cap and l + r + m == self.i:
-            return [0, math.factorial(m)]
-        return [math.factorial(m)]
+            return math.factorial(m) << (8 * self._width)
+        return math.factorial(m)
 
-    def _get(self, l: int, r: int, m: int) -> list[int]:
-        """Counts at a capped state."""
-        if m <= 2:
-            return self._boundary(l, r, m)
-        return self._counts[(l, r, m) if l <= r else (r, l, m)]
+    def _distinct_rows(self):
+        return ((l, r, self._rows[l][r]) for l in range(self._cap + 1)
+                for r in range(l, self._cap + 1))
 
-    def _compute(self, l: int, r: int, m: int) -> list[int]:
-        cap = self._cap
-        acc = list(self._get(min(l + 1, cap), r, m - 1))
-        _add_into(acc, self._get(l, min(r + 1, cap), m - 1))
-        for m1 in range(1, m - 1):
-            _add_into(acc, _mul(self._get(l, 0, m1), self._get(0, r, m - 1 - m1)),
-                      math.comb(m - 1, m1))
-        return acc
+    def _repack(self, width: int) -> None:
+        """Move every row to slots of ``width`` bytes."""
+        old, self._width = self._width, width
+        for l, r, row in self._distinct_rows():
+            row[:] = ([self._boundary(l, r, m) for m in range(3)]
+                      + [_pack(_unpack(n, old), width) for n in row[3:]])
 
-    def _store(self, l: int, r: int, m: int, counts: list[int]) -> None:
-        if sum(counts) != math.factorial(m) or any(c < 0 for c in counts):
+    def _compute(self, l: int, r: int, m: int) -> int:
+        cap, rows = self._cap, self._rows
+        left, right = rows[l][0], rows[0][r]
+        return (rows[min(l + 1, cap)][r][m - 1] + rows[l][min(r + 1, cap)][m - 1]
+                + sum(map(mul, self._weights[m],
+                          map(mul, left[1:m - 1], right[m - 2:0:-1]))))
+
+    def _store(self, l: int, r: int, m: int, packed: int) -> None:
+        # the slots of a positive int are non-negative, and a carry out of a
+        # slot would lower their sum by a multiple of 2^(8w) - 1: slots
+        # summing to m! are the coefficients themselves
+        counts = _unpack(packed, self._width) if packed > 0 else ()
+        if sum(counts) != math.factorial(m):
             raise ArithmeticError(
                 f"table entry (l={l}, r={r}, k={l + r + m}) for i={self.i} is not a PGF")
         self._stored_coefficients += len(counts)
         if self._stored_coefficients > DEFAULT_COEFFICIENT_BUDGET:
             raise TableBudgetError(self.i, (l, r, l + r + m), DEFAULT_COEFFICIENT_BUDGET)
-        self._counts[(l, r, m)] = counts
+        self._rows[l][r].append(packed)
 
     def counts(self, l: int, r: int, k: int) -> tuple[int, ...]:
         """Integer counts N = m! * E for the interval state (l, r, k), m = k - l - r."""
@@ -133,23 +180,32 @@ class GapRecursionTable:
             raise ValueError(f"invalid interval state (l={l}, r={r}, k={k})")
         if k > self.k_max:
             raise ValueError(f"state (l={l}, r={r}, k={k}) beyond table k_max {self.k_max}")
-        return tuple(self._get(min(l, self._cap), min(r, self._cap), k - l - r))
+        return _unpack(self._rows[min(l, self._cap)][min(r, self._cap)][k - l - r],
+                       self._width)
 
     def entry(self, l: int, r: int, k: int) -> RationalPolynomial:
         """PGF for the interval state (l, r, k)."""
         return RationalPolynomial.from_counts(self.counts(l, r, k), math.factorial(k - l - r))
 
-    def stored_counts(self):
+    def stored_counts(self) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
         """The stored (l', r', m) states with their integer counts N."""
-        return self._counts.items()
+        return [((l, r, m), _unpack(row[m], self._width))
+                for l, r, row in self._distinct_rows() for m in range(3, len(row))]
 
     def extend(self, k_max: int) -> "GapRecursionTable":
         """Complete the table for all states with k <= k_max.
 
         A capped state (l', r', m) first appears at k = l' + r' + m; states
         are built by that k, then by s = l' + r' from the deepest layer up,
-        so every state a rule reads is already stored.
+        so every state a rule reads is already stored. A wider slot is at
+        least twice the old width, so a table extended one width at a time
+        is repacked O(log k_max) times.
         """
+        if _slot_bytes(k_max) > self._width:
+            self._repack(max(_slot_bytes(k_max), 2 * self._width))
+        while len(self._weights) <= k_max:
+            m = len(self._weights)
+            self._weights.append(tuple(math.comb(m - 1, m1) for m1 in range(1, m - 1)))
         cap = self._cap
         for k in range(max(self.k_max + 1, 3), k_max + 1):
             for s in range(min(k - 3, 2 * cap), -1, -1):
@@ -160,7 +216,7 @@ class GapRecursionTable:
         return self
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return sum(len(row) - 3 for _, _, row in self._distinct_rows())
 
 
 _table_cache: dict[int, GapRecursionTable] = {}

@@ -84,8 +84,9 @@ def suite_gaps(kmax: int) -> list[tuple[str, bool, str]]:
     ok = True
     detail = ""
     for K in range(3, ki + 1):
-        tot = sum((gap_moments(i, K).mean for i in range(1, K)), Fraction(0))
-        wtot = sum((i * gap_moments(i, K).mean for i in range(1, K)), Fraction(0))
+        means = [gap_moments(i, K).mean for i in range(1, K)]
+        tot = sum(means, Fraction(0))
+        wtot = sum((i * m for i, m in enumerate(means, 1)), Fraction(0))
         if tot != Fraction(K, 3) or wtot != Fraction(2 * K, 3):
             ok, detail = False, f"K={K}: ({tot}, {wtot})"
     _check(checks, f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}",

@@ -292,6 +292,31 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("exact-roots", "--K", "5"),
+    ("exact-gaps", "--K", "5"),
+    ("oracle", "--K", "5"),
+])
+def test_seed_is_a_simulate_flag_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed -7" in capsys.readouterr().err
+
+
+def test_config_file_seed_still_reaches_simulate(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=4\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate", "--K", "10",
+                           "--runs", "5")
+    assert code == 0
+    assert json.loads(out)["seed"] == 4
+    # the key sets no default on the exact commands, which have no --seed
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots", "--K", "5")
+    assert code == 0
+    assert json.loads(out)["results"][0]["K"] == 5
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("K=5\nformat=json\n")

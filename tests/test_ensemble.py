@@ -61,6 +61,16 @@ def test_config_validation():
         EnsembleConfig(K=10, gap_lengths=(3,))
 
 
+def test_config_rejects_a_string_where_a_tuple_is_expected():
+    with pytest.raises(EnsembleConfigError,
+                       match=r"statistics must be a tuple such as \('roots',\), "
+                             r"got the string 'roots'"):
+        EnsembleConfig(K=10, statistics="roots")
+    with pytest.raises(EnsembleConfigError,
+                       match=r"gap_lengths must be a tuple such as \(1, 2\), got the string '12'"):
+        EnsembleConfig(K=10, statistics=("gaps",), gap_lengths="12")
+
+
 def test_config_collects_a_repeated_statistic_or_gap_length_once():
     cfg = EnsembleConfig(K=12, statistics=("gaps", "roots", "gaps"), gap_lengths=(2, 1, 2))
     assert (cfg.statistics, cfg.gap_lengths) == (("gaps", "roots"), (2, 1))

@@ -109,6 +109,61 @@ def test_stored_integer_counts_sum_to_m_factorial():
             assert sum(counts) == math.factorial(m)
 
 
+def _list_table(i, k_max):
+    """The recursion over coefficient lists that the packed table replaced,
+    keyed by the stored states (l', r', m)."""
+    cap = i + 1
+    table = {}
+
+    def get(l, r, m):
+        if m <= 2:
+            gap = l < cap and r < cap and l + r + m == i
+            return (0, math.factorial(m)) if gap else (math.factorial(m),)
+        return table[(l, r, m) if l <= r else (r, l, m)]
+
+    for k in range(3, k_max + 1):
+        for s in range(min(k - 3, 2 * cap), -1, -1):
+            for l in range(max(0, s - cap), s // 2 + 1):
+                r, m = s - l, k - s
+                acc = _add(get(min(l + 1, cap), r, m - 1), get(l, min(r + 1, cap), m - 1))
+                for m1 in range(1, m - 1):
+                    term = _times(get(l, 0, m1), get(0, r, m - 1 - m1))
+                    acc = _add(acc, tuple(math.comb(m - 1, m1) * c for c in term))
+                table[(l, r, m)] = tuple(int(c) for c in acc)
+    return table
+
+
+def test_packed_table_equals_list_recursion():
+    for i in (1, 2, 3, 5):
+        table = GapRecursionTable(i, 14)   # 14! needs 5-byte slots
+        assert dict(table.stored_counts()) == _list_table(i, 14), i
+
+
+def test_stored_counts_golden_digest_to_39():
+    # SHA-256 of every stored entry of the tables i = 1..7 at k_max = 39,
+    # recorded from the coefficient-list engine that the packed table replaced
+    tables = [GapRecursionTable(i, 39) for i in range(1, 8)]
+    text = json.dumps([[[l, r, m, list(c)] for (l, r, m), c in sorted(t.stored_counts())]
+                       for t in tables])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a9f881dcdf82b74aea22a6b1984753c5cb124d86c09d61e5f5c330c39358d432")
+
+
+def test_table_grown_one_width_at_a_time_equals_one_built_at_once():
+    for i in (1, 4):
+        grown = GapRecursionTable(i, 3)
+        widths = {grown._width}
+        for k in range(4, 31):
+            grown.extend(k)
+            widths.add(grown._width)
+        assert len(widths) >= 4            # the rows were repacked on the way
+        once = GapRecursionTable(i, 30)
+        assert grown.stored_counts() == once.stored_counts()
+        assert len(grown) == len(once)
+        assert all(grown.counts(l, r, 30) == once.counts(l, r, 30)
+                   for l in range(31) for r in range(31 - l))
+
+
 def test_capped_table_entry_counts():
     # states (l', r', m) with l' <= r' <= i+1, m >= 3, l' + r' + m <= 39
     assert [len(GapRecursionTable(i, 39)) for i in (1, 7)] == [210, 1305]
