@@ -163,24 +163,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _apply_config_file(path, subparsers):
-    values = _load_config_file(path)
-    for key, raw in values.items():
+def _apply_config_file(path, command: str, parser: argparse.ArgumentParser) -> None:
+    """Set the file's values as defaults of the chosen subcommand's parser;
+    a key that subcommand has no flag for is an error, as the flag is."""
+    actions = {action.dest: action for action in parser._actions}
+    for key, raw in _load_config_file(path).items():
         if key not in _CONFIG_KEYS:
             raise EnsembleConfigError(f"unknown config key {key!r}")
-        dest = key.replace("-", "_")
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise EnsembleConfigError(f"config key {key!r} does not apply to {command}")
         value = _CONFIG_KEYS[key](raw)
-        for p in subparsers.values():
-            for action in p._actions:
-                if action.dest != dest:
-                    continue
-                # defaults skip argparse's choices check, so make it here
-                for v in value if isinstance(value, list) else [value]:
-                    if action.choices is not None and v not in action.choices:
-                        raise EnsembleConfigError(
-                            f"config key {key}: invalid choice {v!r} "
-                            f"(choose from {', '.join(action.choices)})")
-                p.set_defaults(**{dest: value})
+        # defaults skip argparse's choices check, so make it here
+        for v in value if isinstance(value, list) else [value]:
+            if action.choices is not None and v not in action.choices:
+                raise EnsembleConfigError(
+                    f"config key {key}: invalid choice {v!r} "
+                    f"(choose from {', '.join(action.choices)})")
+        parser.set_defaults(**{action.dest: value})
 
 
 # --------------------------------------------------------------------------
@@ -364,9 +364,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        # the file sets the sub-commands' defaults; parse again so that
+        # the file sets the subcommand's defaults; parse again so that
         # explicit flags, in any spelling argparse accepts, still win
-        _apply_config_file(args.config, subparsers)
+        _apply_config_file(args.config, args.command, subparsers[args.command])
         args = parser.parse_args(argv)
     return args
 

@@ -17,6 +17,11 @@ gap lengths of the whole block with a few numpy calls.
 `process.roots_from_permutation` and `process.gap_vector` stay the
 independent per-run reference that the tests compare the kernel against.
 
+Runs are simulated in chunks of consecutive runs, one after another or on
+a pool of ``workers`` processes, and merged in run order. `chunk_plan`
+sizes the chunks by work, counting runs and deposits, so that an ensemble
+of a few long height-growth runs still spreads over the workers.
+
 An ensemble keeps its per-run results in run order and nothing else: the
 root counts (int32), one int32 column of gap counts per gap length, and the
 height-growth samples (float64). Histograms, moments and the empirical gap
@@ -44,10 +49,14 @@ STAT_EMPIRICAL = "empirical_gap_average"
 STAT_GROWTH = "height_growth"
 VALID_STATISTICS = (STAT_ROOTS, STAT_GAPS, STAT_EMPIRICAL, STAT_GROWTH)
 
-# Runs are processed in fixed-size chunks and merged in chunk order; the
-# chunk size is part of the reproducibility contract only in so far as the
-# per-run streams are not, i.e. not at all.
+# A chunk, the unit of work handed to a worker, holds at most CHUNK_SIZE
+# runs and, when height growth is collected, at most CHUNK_DEPOSITS
+# deposits (about 50 ms at 200 ns a deposit). So a run of more than 2**17
+# deposits is a chunk of its own, and a few long runs still spread over the
+# workers. Every run draws from its own stream, so no sample depends on the
+# chunk plan.
 CHUNK_SIZE = 4096
+CHUNK_DEPOSITS = 1 << 18
 
 # Rows of first-hit ranks per kernel call. At K=1500 the int32 block takes
 # 375 KiB and the kernel's temporaries stay under 1 MiB; much larger blocks
@@ -227,6 +236,16 @@ def block_tallies(ranks: np.ndarray, mode: BoundaryMode,
     return cards, tally.reshape(B, G + 1)[:, :G]
 
 
+def chunk_plan(cfg: EnsembleConfig) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` run ranges that `run_ensemble` simulates, one
+    per chunk, in run order. ``growth_steps`` counts only when height growth
+    is collected."""
+    size = CHUNK_SIZE
+    if STAT_GROWTH in cfg.statistics:
+        size = max(1, min(CHUNK_SIZE, CHUNK_DEPOSITS // cfg.growth_steps))
+    return [(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
+
+
 def _simulate_chunk(cfg: EnsembleConfig, start: int,
                     stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate runs [start, stop); pure function of its arguments. Returns
@@ -390,13 +409,13 @@ class EnsembleStats:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Run the configured ensemble; bitwise reproducible for fixed config."""
     started = time.perf_counter()
-    starts = range(0, cfg.runs, CHUNK_SIZE)
-    stops = [min(s + CHUNK_SIZE, cfg.runs) for s in starts]
-    if cfg.workers == 1 or len(starts) == 1:
+    starts, stops = zip(*chunk_plan(cfg))
+    workers = min(cfg.workers, len(starts))
+    if workers == 1:
         stats = EnsembleStats(cfg, map(_simulate_chunk, repeat(cfg), starts, stops))
     else:
         # Executor.map yields the results in submission order, i.e. run order
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = EnsembleStats(cfg, pool.map(_simulate_chunk, repeat(cfg), starts, stops))
     stats.runtime_seconds = time.perf_counter() - started
     return stats

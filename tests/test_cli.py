@@ -311,10 +311,35 @@ def test_config_file_seed_still_reaches_simulate(tmp_path, capsys):
                            "--runs", "5")
     assert code == 0
     assert json.loads(out)["seed"] == 4
-    # the key sets no default on the exact commands, which have no --seed
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots", "--K", "5")
+    # the exact commands have no --seed, so the key is refused as the flag is
+    code, out, err = run_cli(capsys, "--config", str(cfg), "exact-roots", "--K", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'seed'" in err and "exact-roots" in err
+
+
+@pytest.mark.parametrize("command", ["exact-roots", "exact-gaps", "oracle", "verify"])
+@pytest.mark.parametrize("line", ["seed=4", "runs=10", "threads=2", "n-steps=100"])
+def test_config_file_key_without_flag_exits_2(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    key = line.partition("=")[0]
+    code, out, err = run_cli(capsys, "--config", str(cfg), command)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r} does not apply to {command}\n"
+
+
+def test_config_file_applies_to_the_chosen_subcommand_only(tmp_path, capsys):
+    # kmax is an exact-roots flag; on simulate, which lacks it, it is refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=5\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots")
     assert code == 0
-    assert json.loads(out)["results"][0]["K"] == 5
+    assert [r["K"] for r in json.loads(out)["results"]] == [3, 4, 5]
+    code, _, err = run_cli(capsys, "--config", str(cfg), "simulate", "--K", "5")
+    assert code == 2
+    assert "'kmax' does not apply to simulate" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

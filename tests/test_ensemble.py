@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,13 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
+from stripdep import ensemble
 from stripdep.cli import main
 from stripdep.ensemble import (
     BLOCK,
+    CHUNK_DEPOSITS,
     CHUNK_SIZE,
     EnsembleConfig,
     EnsembleConfigError,
+    _simulate_chunk,
     block_tallies,
+    chunk_plan,
     empirical_gap_average,
     height_growth_estimate,
     normalized_ks_statistic,
@@ -109,6 +114,81 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(s1.samples("empirical_gap_average"),
                           s2.samples("empirical_gap_average"))
     assert s1.summary_dict()["statistics"] == s2.summary_dict()["statistics"]
+
+
+def _chunk_runs(plan):
+    return [stop - start for start, stop in plan]
+
+
+def test_chunk_plan_of_a_fast_path_ensemble_counts_runs_only():
+    cfg = EnsembleConfig(K=1500, runs=40_000, gap_lengths=tuple(range(1, 7)),
+                         statistics=("roots", "gaps", "empirical_gap_average"))
+    plan = chunk_plan(cfg)
+    assert _chunk_runs(plan) == [CHUNK_SIZE] * 9 + [40_000 - 9 * CHUNK_SIZE]
+    # the CLI passes --n-steps through without the growth statistic
+    assert chunk_plan(dataclasses.replace(cfg, growth_steps=10**6)) == plan
+
+
+def test_chunk_plan_gives_each_long_growth_run_its_own_chunk():
+    cfg = EnsembleConfig(K=500, runs=4, statistics=("height_growth",), growth_steps=10**6)
+    assert chunk_plan(cfg) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("steps", [1, 50, CHUNK_DEPOSITS // 3, CHUNK_DEPOSITS + 1, 2**40])
+def test_chunk_plan_caps_runs_and_deposits(steps):
+    cfg = EnsembleConfig(K=10, runs=10_000, statistics=("roots", "height_growth"),
+                         growth_steps=steps)
+    plan = chunk_plan(cfg)
+    assert plan[0][0] == 0 and plan[-1][1] == cfg.runs
+    assert all(stop == start for (_, stop), (start, _) in zip(plan, plan[1:]))
+    sizes = _chunk_runs(plan)
+    assert max(sizes) <= CHUNK_SIZE
+    assert max(sizes) == 1 or max(sizes) * steps <= CHUNK_DEPOSITS
+    assert len(set(sizes[:-1])) <= 1
+
+
+def test_golden_chunk_layout_is_two_chunks():
+    assert chunk_plan(EnsembleConfig(**GOLDEN_CHUNKS)) == [
+        (0, CHUNK_SIZE), (CHUNK_SIZE, GOLDEN_CHUNKS["runs"])]
+
+
+def test_mixed_ensemble_over_several_chunks_ignores_workers_and_plan():
+    # two runs to a chunk: long enough growth runs to reach the pool, at K=10
+    cfg = EnsembleConfig(K=10, runs=3, base_seed=21, statistics=("roots", "gaps", "height_growth"),
+                         gap_lengths=(1, 2), growth_steps=CHUNK_DEPOSITS // 2)
+    assert chunk_plan(cfg) == [(0, 2), (2, 3)]
+    s1 = run_ensemble(cfg)
+    s2 = run_ensemble(dataclasses.replace(cfg, workers=2))
+    one_chunk = _simulate_chunk(cfg, 0, cfg.runs)
+    for stats in (s1, s2):
+        assert np.array_equal(stats.root_counts, one_chunk[0])
+        assert np.array_equal(stats.gap_counts, one_chunk[1])
+        assert np.array_equal(stats.growth_samples, one_chunk[2])
+
+
+@pytest.mark.parametrize("workers, chunks, pool_size", [(1, 3, None), (8, 1, None),
+                                                        (8, 3, 3), (2, 3, 2)])
+def test_pool_has_no_more_processes_than_chunks(monkeypatch, workers, chunks, pool_size):
+    sizes = []
+
+    class Pool:                     # records its size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ensemble, "chunk_plan", lambda cfg: [(j, j + 1) for j in range(cfg.runs)])
+    stats = run_ensemble(EnsembleConfig(K=5, runs=chunks, base_seed=2, workers=workers))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert stats.root_counts.shape == (chunks,)
 
 
 def test_width_three_roots_are_constant():
