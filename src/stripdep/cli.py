@@ -100,15 +100,6 @@ def _load_config_file(path: str) -> dict[str, str]:
         values[key.strip()] = value.strip()
     return values
 
-# config-file keys (flag names without the dashes) -> converter; list-valued
-# flags take comma-separated values
-_CONFIG_KEYS = {
-    "K": int, "mode": str, "runs": int, "seed": int, "threads": int, "n-steps": int,
-    "stat": lambda s: s.split(","),
-    "i": lambda s: [int(x) for x in s.split(",")],
-    "format": str, "out": str, "kmax": int, "suite": str,
-}
-
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(prog="stripdep", description=__doc__,
@@ -163,24 +154,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _apply_config_file(path, command: str, parser: argparse.ArgumentParser) -> None:
-    """Set the file's values as defaults of the chosen subcommand's parser;
-    a key that subcommand has no flag for is an error, as the flag is."""
-    actions = {action.dest: action for action in parser._actions}
+def _apply_config_file(path, command: str, subparsers: dict) -> None:
+    """Set the file's values as defaults of the chosen subcommand's parser.
+    A key is one of its flags without the dashes, converted by that flag's
+    type (comma-separated for a repeatable flag); a key the subcommand has
+    no flag for is an error, as the flag is."""
+    flags = {name: {opt[2:]: action for action in p._actions for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, p in subparsers.items()}
     for key, raw in _load_config_file(path).items():
-        if key not in _CONFIG_KEYS:
-            raise EnsembleConfigError(f"unknown config key {key!r}")
-        action = actions.get(key.replace("-", "_"))
+        action = flags[command].get(key)
         if action is None:
+            if not any(key in known for known in flags.values()):
+                raise EnsembleConfigError(f"unknown config key {key!r}")
             raise EnsembleConfigError(f"config key {key!r} does not apply to {command}")
-        value = _CONFIG_KEYS[key](raw)
+        repeatable = isinstance(action, argparse._AppendAction)
+        values = [(action.type or str)(v) for v in (raw.split(",") if repeatable else [raw])]
         # defaults skip argparse's choices check, so make it here
-        for v in value if isinstance(value, list) else [value]:
+        for v in values:
             if action.choices is not None and v not in action.choices:
                 raise EnsembleConfigError(
                     f"config key {key}: invalid choice {v!r} "
                     f"(choose from {', '.join(action.choices)})")
-        parser.set_defaults(**{action.dest: value})
+        subparsers[command].set_defaults(**{action.dest: values if repeatable else values[0]})
 
 
 # --------------------------------------------------------------------------
@@ -336,14 +332,12 @@ def _cmd_verify(args) -> int:
         suite, default_kmax, _ = SUITES[name]
         kmax = args.kmax if args.kmax is not None else default_kmax
         started = time.perf_counter()
-        checks = suite(kmax)
+        laws = suite(kmax)
         elapsed = time.perf_counter() - started
-        print(f"suite {name}: {len(checks)} checks in {elapsed:.1f}s", file=sys.stderr)
-        for check_name, ok, detail in checks:
-            status = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail and not ok else ""
-            lines.append(f"{status}: [{name}] {check_name}{suffix}")
-            failed += 0 if ok else 1
+        print(f"suite {name}: {len(laws)} checks in {elapsed:.1f}s", file=sys.stderr)
+        for law in laws:
+            lines.append(f"{'PASS' if law.failure is None else 'FAIL'}: [{name}] {law}")
+            failed += law.failure is not None
     lines.append("OK: all checks passed" if failed == 0
                  else f"FAILED: {failed} failing check(s)")
     _write("\n".join(lines) + "\n", args.out)
@@ -366,7 +360,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if args.config is not None:
         # the file sets the subcommand's defaults; parse again so that
         # explicit flags, in any spelling argparse accepts, still win
-        _apply_config_file(args.config, args.command, subparsers[args.command])
+        _apply_config_file(args.config, args.command, subparsers)
         args = parser.parse_args(argv)
     return args
 
@@ -376,7 +370,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (EnsembleConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EnumerationLimitError, TableBudgetError) as exc:

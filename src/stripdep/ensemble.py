@@ -200,7 +200,7 @@ def root_mask(ranks: np.ndarray, mode: BoundaryMode) -> np.ndarray:
 
 
 def block_tallies(ranks: np.ndarray, mode: BoundaryMode,
-                  gap_lengths: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+                  gap_lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Root count of each row of a ``(B, K)`` block of first-hit ranks, and
     ``(B, len(gap_lengths))`` counts of the gaps of each distinct requested
     length (cyclic mode; the pair wrapping around the row included)."""
@@ -340,14 +340,10 @@ class EnsembleStats:
         samples = self.samples(statistic)
         return float(np.var(samples, ddof=1)) if len(samples) > 1 else 0.0
 
-    def ks_normal(self, statistic: str, i: int | None = None,
-                  mean: float | None = None, sd: float | None = None) -> float:
+    def ks_normal(self, statistic: str, i: int | None = None) -> float:
         samples = self.samples(statistic, i)
-        if mean is None:
-            mean = float(np.mean(samples))
-        if sd is None:
-            sd = float(np.std(samples, ddof=1))
-        return normalized_ks_statistic(samples, mean, sd)
+        return normalized_ks_statistic(samples, float(np.mean(samples)),
+                                       float(np.std(samples, ddof=1)))
 
     def histogram(self, statistic: str, i: int | None = None):
         """Integer statistics: {value: count} over the observed range.

@@ -1,12 +1,12 @@
 """Exact laws checked by `stripdep verify`: moment laws, polynomial tables,
 series rows and cross-engine equalities. A suite maps the largest width to
-check to ``(name, ok, detail)`` triples in a fixed order."""
+check to its `Law`s, in output order, each checked at every width."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice, pairwise, zip_longest
 
 from .gaps import abc_degree, abc_recursion, gap_distribution, gap_moments
 from .oracle import (
@@ -20,78 +20,83 @@ from .ratpoly import MomentSummary, RationalPolynomial, count_moments
 from .roots import aux_root_layers, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
 
 
-def _check(checks, name, ok, detail=""):
-    checks.append((name, bool(ok), detail))
+class Law:
+    """One exact law, checked width by width. It holds when every width
+    matched; otherwise it keeps the first width that did not, with the
+    values found and expected there."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.failure = None
+
+    def check(self, K: int, found, expected) -> None:
+        if self.failure is None and found != expected:
+            self.failure = (K, found, expected)
+
+    def __str__(self) -> str:
+        if self.failure is None:
+            return self.name
+        K, found, expected = self.failure
+        return f"{self.name} (K={K}: found {_show(found)}, expected {_show(expected)})"
 
 
-def suite_roots(kmax: int) -> list[tuple[str, bool, str]]:
+def _show(value) -> str:
+    """A found or expected value, every number in it as "num/den"."""
+    if isinstance(value, RationalPolynomial):
+        value = value.coefficients
+    if isinstance(value, (tuple, list)):
+        return f"({', '.join(map(_show, value))})"
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
+
+
+def suite_roots(kmax: int) -> list[Law]:
     """Moments from the integer counts W_n = n! * L_n: the cyclic root count
     of width K is one more than the auxiliary count of width K - 1."""
-    checks = []
+    mean, variance, normalization, degree = laws = [
+        Law(f"root-count mean K/3 for K=3..{kmax}"),
+        Law(f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}"),
+        Law(f"PGF normalization at z=1 for K=3..{kmax}"),
+        Law(f"PGF degree floor((K-1)/2) for K=3..{kmax}")]
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
-    ok_mean = ok_var = ok_norm = ok_deg = True
-    detail = ""
     for K, (below, counts) in enumerate(islice(pairwise(aux_root_layers(kmax)), 2, None), 3):
         m = count_moments((0, *below), math.factorial(K - 1))
-        mean, variance = m.mean, m.variance
-        if mean != Fraction(K, 3):
-            ok_mean, detail = False, f"K={K}: mean {mean}"
-        expect = variance_law.get(K, Fraction(2 * K, 45))
-        if variance != expect:
-            ok_var, detail = False, f"K={K}: variance {variance} != {expect}"
-        if sum(counts) != math.factorial(K):
-            ok_norm = False
-        if len(counts) - 1 != (K - 1) // 2:
-            ok_deg = False
-    _check(checks, f"root-count mean K/3 for K=3..{kmax}", ok_mean, detail)
-    _check(checks, f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}",
-           ok_var, detail)
-    _check(checks, f"PGF normalization at z=1 for K=3..{kmax}", ok_norm)
-    _check(checks, f"PGF degree floor((K-1)/2) for K=3..{kmax}", ok_deg)
-    return checks
+        mean.check(K, m.mean, Fraction(K, 3))
+        variance.check(K, m.variance, variance_law.get(K, Fraction(2 * K, 45)))
+        normalization.check(K, sum(counts), math.factorial(K))
+        degree.check(K, len(counts) - 1, (K - 1) // 2)
+    return laws
 
 
-def suite_gaps(kmax: int) -> list[tuple[str, bool, str]]:
-    checks = []
-    kg = min(kmax, 40)
+def suite_gaps(kmax: int) -> list[Law]:
+    kg, ki = min(kmax, 40), min(kmax, 25)
     exceptions = {4: Fraction(8, 9), 5: Fraction(2, 9), 6: Fraction(24, 25),
                   7: Fraction(184, 225), 8: Fraction(1588, 1575)}
-    ok = True
-    detail = ""
+    means = {2: Fraction(1, 9), 3: Fraction(2, 35), 4: Fraction(1, 45),
+             5: Fraction(4, 567), 6: Fraction(1, 525), 7: Fraction(2, 4455)}
+    variances = {2: Fraction(32, 405), 3: Fraction(119732, 2837835),
+                 4: Fraction(12154, 637875), 5: Fraction(649555688, 97692469875),
+                 6: Fraction(5967328, 3192564375),
+                 7: Fraction(191501338988, 428772250281375)}
+    unit = Law(f"unit-gap moment laws for K=4..{kg}")
+    linear = {i: Law(f"gap-{i} linear moment laws for K=31..{kg}") for i in means if kg >= 31}
+    identities = Law(f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}")
     for K in range(4, kg + 1):
         m = gap_moments(1, K)
-        mean = Fraction(2, 3) if K == 4 else Fraction(2 * K, 15)
-        var = exceptions.get(K, Fraction(1772 * K, 14175))
-        if m.mean != mean or m.variance != var:
-            ok, detail = False, f"K={K}: ({m.mean}, {m.variance})"
-    _check(checks, f"unit-gap moment laws for K=4..{kg}", ok, detail)
-    if kg >= 31:
-        means = {2: Fraction(1, 9), 3: Fraction(2, 35), 4: Fraction(1, 45),
-                 5: Fraction(4, 567), 6: Fraction(1, 525), 7: Fraction(2, 4455)}
-        variances = {2: Fraction(32, 405), 3: Fraction(119732, 2837835),
-                     4: Fraction(12154, 637875), 5: Fraction(649555688, 97692469875),
-                     6: Fraction(5967328, 3192564375),
-                     7: Fraction(191501338988, 428772250281375)}
-        for i in range(2, 8):
-            ok = True
-            detail = ""
-            for K in range(31, kg + 1):
-                m = gap_moments(i, K)
-                if m.mean != means[i] * K or m.variance != variances[i] * K:
-                    ok, detail = False, f"K={K}"
-            _check(checks, f"gap-{i} linear moment laws for K=31..{kg}", ok, detail)
-    ki = min(kmax, 25)
-    ok = True
-    detail = ""
+        unit.check(K, (m.mean, m.variance), (Fraction(2, 3) if K == 4 else Fraction(2 * K, 15),
+                                             exceptions.get(K, Fraction(1772 * K, 14175))))
+    for i, law in linear.items():
+        for K in range(31, kg + 1):
+            m = gap_moments(i, K)
+            law.check(K, (m.mean, m.variance), (means[i] * K, variances[i] * K))
     for K in range(3, ki + 1):
-        means = [gap_moments(i, K).mean for i in range(1, K)]
-        tot = sum(means, Fraction(0))
-        wtot = sum((i * m for i, m in enumerate(means, 1)), Fraction(0))
-        if tot != Fraction(K, 3) or wtot != Fraction(2 * K, 3):
-            ok, detail = False, f"K={K}: ({tot}, {wtot})"
-    _check(checks, f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}",
-           ok, detail)
-    return checks
+        gap_means = [gap_moments(i, K).mean for i in range(1, K)]
+        identities.check(K, (sum(gap_means, Fraction(0)),
+                             sum((i * m for i, m in enumerate(gap_means, 1)), Fraction(0))),
+                         (Fraction(K, 3), Fraction(2 * K, 3)))
+    return [unit, *linear.values(), identities]
 
 
 # (scale, numerator ascending coefficients) with scale*(1-x)^2*E_i = numerator;
@@ -146,8 +151,7 @@ def _ring_moments(i: int, K: int) -> MomentSummary:
     return gap_moments(i, K) if i < K else count_moments((1,), 1)
 
 
-def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
-    checks = []
+def suite_tables(kmax: int) -> list[Law]:
     table1 = {
         3: ((1, -2, 1), (0, 1, -1), (2, 0, 1), 3),
         4: ((), (1, -1), (1, 2), 3),
@@ -155,57 +159,58 @@ def suite_tables(kmax: int) -> list[tuple[str, bool, str]]:
         6: ((5, -10, 5), (4, 7, -11), (20, 8, 17), 45),
         7: ((18, -36, 35, -34, 17), (45, -2, -43, 17, -17), (98, 132, 68, 0, 17), 315),
     }
-    kt = max(7, min(kmax, 40))
-    triples = abc_recursion(kt)
-    ok = True
-    detail = ""
-    for t in triples:
+    kt, ks = max(7, min(kmax, 40)), min(kmax, 25)
+    triples, normalization, unit_pgf, insertion = laws = [
+        Law("unit-gap polynomial triples for K=3..7"),
+        Law(f"triple normalization and degree law for K=3..{kt}"),
+        Law(f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}"),
+        Law(f"cross-engine: insertion root engine equals first-step recursion for K=0..{kt}")]
+    for t in abc_recursion(kt):
         if t.K in table1:
-            ea, eb, ec, den = table1[t.K]
-            want = tuple(RationalPolynomial.from_counts(cs, den) for cs in (ea, eb, ec))
-            if (t.a, t.b, t.c) != want:
-                ok, detail = False, f"K={t.K}"
-    _check(checks, "unit-gap polynomial triples for K=3..7", ok, detail)
-    ok = all(t.a.sum_of_coefficients() == 0 and t.b.sum_of_coefficients() == 0 and
-             t.c.sum_of_coefficients() == 1 and t.c.degree == abc_degree(t.K) for t in triples)
-    _check(checks, f"triple normalization and degree law for K=3..{kt}", ok)
-    ok = all(t.c == gap_distribution(1, t.K + 1) for t in triples)
-    _check(checks, f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}", ok)
-    ok = list(aux_root_layers(kt)) == first_step_root_counts(kt)
-    _check(checks, f"cross-engine: insertion root engine equals first-step recursion "
-                   f"for K=0..{kt}", ok)
+            *counts, den = table1[t.K]
+            triples.check(t.K, (t.a, t.b, t.c),
+                          tuple(RationalPolynomial.from_counts(cs, den) for cs in counts))
+        normalization.check(t.K, (t.a.sum_of_coefficients(), t.b.sum_of_coefficients(),
+                                  t.c.sum_of_coefficients(), t.c.degree),
+                            (0, 0, 1, abc_degree(t.K)))
+        unit_pgf.check(t.K, t.c, gap_distribution(1, t.K + 1))
+    for n, (found, expected) in enumerate(zip_longest(list(aux_root_layers(kt)),
+                                                      first_step_root_counts(kt))):
+        insertion.check(n, found, expected)
 
-    ks = min(kmax, 25)
-    for i in range(1, 8):
-        scale, num = MEAN_SERIES_ROWS[i]
-        series = series_coefficients(num, scale, 2, ks)
-        ok = all(series[K] == _ring_moments(i, K + 1).mean for K in range(3, ks))
+    for i, (scale, num) in MEAN_SERIES_ROWS.items():
         note = " (leading power x^3 restored)" if i == 1 else ""
-        _check(checks, f"mean series row i={i}{note} vs engine, widths 4..{ks}", ok)
-    for i in range(1, 8):
-        scale, shift, lead, inner = FACTORIAL_SERIES_ROWS[i]
-        series = series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
-        ok = all(series[K] == _ring_moments(i, K + 1).second_factorial_moment
-                 for K in range(3, ks))
+        laws.append(law := Law(f"mean series row i={i}{note} vs engine, widths 4..{ks}"))
+        series = series_coefficients(num, scale, 2, ks)
+        for K in range(3, ks):
+            law.check(K + 1, series[K], _ring_moments(i, K + 1).mean)
+    for i, (scale, shift, lead, inner) in FACTORIAL_SERIES_ROWS.items():
         note = " (third-order pole)" if i == 5 else ""
-        _check(checks, f"second-factorial-moment series row i={i}{note} vs engine, "
-                       f"widths 4..{ks}", ok)
-    return checks
+        laws.append(law := Law(f"second-factorial-moment series row i={i}{note} vs engine, "
+                               f"widths 4..{ks}"))
+        series = series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
+        for K in range(3, ks):
+            law.check(K + 1, series[K], _ring_moments(i, K + 1).second_factorial_moment)
+    return laws
 
 
-def suite_oracle(kmax: int) -> list[tuple[str, bool, str]]:
-    checks = []
+def suite_oracle(kmax: int) -> list[Law]:
     if kmax > MAX_ENUMERATION_WIDTH:
         raise EnumerationLimitError(kmax)
+    laws = []
     for K in range(3, kmax + 1):
-        ok = enumerate_root_distribution(K, BoundaryMode.CYCLIC).pgf() == cyclic_root_pgf(K)
-        _check(checks, f"cyclic root enumeration equals PGF engine at K={K}", ok)
-        ok = enumerate_root_distribution(K, BoundaryMode.AUXILIARY).pgf() == aux_root_pgf(K)
-        _check(checks, f"auxiliary root enumeration equals PGF engine at K={K}", ok)
-        ok = all(enumerate_gap_distribution(K, i).pgf() == gap_distribution(i, K)
-                 for i in range(1, K))
-        _check(checks, f"gap enumeration equals recursion engine at K={K}, all i", ok)
-    return checks
+        cyclic, aux, gaps = width_laws = (
+            Law(f"cyclic root enumeration equals PGF engine at K={K}"),
+            Law(f"auxiliary root enumeration equals PGF engine at K={K}"),
+            Law(f"gap enumeration equals recursion engine at K={K}, all i"))
+        cyclic.check(K, enumerate_root_distribution(K, BoundaryMode.CYCLIC).pgf(),
+                     cyclic_root_pgf(K))
+        aux.check(K, enumerate_root_distribution(K, BoundaryMode.AUXILIARY).pgf(),
+                  aux_root_pgf(K))
+        for i in range(1, K):
+            gaps.check(K, enumerate_gap_distribution(K, i).pgf(), gap_distribution(i, K))
+        laws += width_laws
+    return laws
 
 
 # suite name -> (suite, default largest width, smallest width that checks

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -71,9 +70,6 @@ class ExactDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(p < 0 for p in self.support.values()):
             raise ValueError("negative probability")
-
-    def probability(self, value: int) -> Fraction:
-        return self.support.get(value, Fraction(0))
 
     def mean(self) -> Fraction:
         return sum((Fraction(v) * p for v, p in self.support.items()), Fraction(0))
@@ -129,11 +125,10 @@ def _order_blocks(K: int):
 def _enumerate(K: int, mode: BoundaryMode):
     """One sweep over all K! first-hit orders.
 
-    Returns (root_counter, gap_counters, total) where gap_counters[i] maps a
-    value v > 0 to the number of orders with exactly v gaps of index i
-    (cyclic mode only; zero counts are implicit).
+    Returns (root_hist, gap_hist): root_hist[v] is the number of orders with
+    v roots and gap_hist[i][v] the number with v gaps of index i (cyclic
+    mode only), zero included, so each row for i = 1..K-1 sums to K!.
     """
-    total = math.factorial(K)
     cyclic = mode is BoundaryMode.CYCLIC
     root_hist = np.zeros(K + 1, dtype=np.int64)
     gap_hist = np.zeros((K, K + 1), dtype=np.int64)     # [gap index, count]
@@ -156,18 +151,21 @@ def _enumerate(K: int, mode: BoundaryMode):
             clear &= ~ring[d - 1:d - 1 + K]
             ends = clear & ring[d:d + K]
             gap_hist[d - 1] += np.bincount(ends.sum(axis=0), minlength=K + 1)
-    root_counter = Counter({v: int(c) for v, c in enumerate(root_hist) if c})
-    gap_counters = {i: Counter({v: int(c) for v, c in enumerate(gap_hist[i]) if v and c})
-                    for i in range(1, K)}
-    return root_counter, gap_counters, total
+    # tuples, since the cache hands the same result to every caller
+    return tuple(root_hist.tolist()), tuple(map(tuple, gap_hist.tolist()))
+
+
+def _support(hist: tuple[int, ...], K: int) -> dict[int, Fraction]:
+    """The values an order count ``hist`` over all K! orders gives mass."""
+    total = math.factorial(K)
+    return {v: Fraction(c, total) for v, c in enumerate(hist) if c}
 
 
 def enumerate_root_distribution(K: int, mode: BoundaryMode) -> ExactDistribution:
     """Exact distribution of the final root count by brute-force enumeration."""
     _check_enumeration_width(K)
-    root_counter, _, total = _enumerate(K, mode)
-    support = {v: Fraction(c, total) for v, c in sorted(root_counter.items())}
-    return ExactDistribution(statistic="roots", K=K, mode=mode, support=support)
+    root_hist, _ = _enumerate(K, mode)
+    return ExactDistribution(statistic="roots", K=K, mode=mode, support=_support(root_hist, K))
 
 
 def enumerate_gap_distribution(K: int, i: int) -> ExactDistribution:
@@ -175,9 +173,6 @@ def enumerate_gap_distribution(K: int, i: int) -> ExactDistribution:
     _check_enumeration_width(K)
     if not 1 <= i <= K - 1:
         raise ValueError(f"gap index {i} out of range 1..{K - 1}")
-    _, gap_counters, total = _enumerate(K, BoundaryMode.CYCLIC)
-    counter = dict(gap_counters[i])
-    counter[0] = counter.get(0, 0) + total - sum(gap_counters[i].values())
-    support = {v: Fraction(c, total) for v, c in sorted(counter.items()) if c}
+    _, gap_hist = _enumerate(K, BoundaryMode.CYCLIC)
     return ExactDistribution(statistic="gaps", K=K, mode=BoundaryMode.CYCLIC,
-                             support=support, i=i)
+                             support=_support(gap_hist[i], K), i=i)

@@ -28,8 +28,10 @@ import numpy as np
 
 MIN_WIDTH = 3
 
-# Cap on deposition steps per run; keeps heights comfortably inside 64-bit
-# range for consumers that store them in fixed-width arrays.
+# Cap on deposition steps per run. Heights are Python ints and cannot
+# overflow; the cap keeps a height (at most the step count) exact in the
+# float64 of a growth sample, and refuses up front a run that would not end
+# (2^40 deposits at about 200 ns each is some 60 hours).
 MAX_STEPS = 2**40
 
 

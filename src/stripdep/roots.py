@@ -66,6 +66,10 @@ __all__ = [
     "pole_position",
 ]
 
+# root_series_closed_form treats a denominator this small (relative to the
+# tangent, once that exceeds 1) as a pole
+POLE_TOLERANCE = 1e-12
+
 
 def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     """W_{n+1} from W_n by inserting the largest rank."""
@@ -126,7 +130,7 @@ def cyclic_root_pgf(K: int) -> RationalPolynomial:
     return aux_root_pgf(K - 1).shift(1)
 
 
-def root_series_closed_form(x, z, pole_tolerance: float = 1e-12) -> complex:
+def root_series_closed_form(x, z) -> complex:
     """Closed form of sum_{K>=1} L_K(z) x**K, valid near (x, z) = (0, 1).
 
     Equals tan(x*sqrt(z-1)) / (sqrt(z-1) - tan(x*sqrt(z-1))); the singularity
@@ -136,13 +140,13 @@ def root_series_closed_form(x, z, pole_tolerance: float = 1e-12) -> complex:
     z = complex(z)
     if z == 1:
         den = 1 - x
-        if abs(den) <= pole_tolerance:
+        if abs(den) <= POLE_TOLERANCE:
             raise ValueError("evaluation at the x = 1 pole")
         return x / den
     w = cmath.sqrt(z - 1)
     t = cmath.tan(x * w)
     den = w - t
-    if abs(den) <= pole_tolerance * max(1.0, abs(t)):
+    if abs(den) <= POLE_TOLERANCE * max(1.0, abs(t)):
         raise ValueError(f"evaluation too close to a pole (denominator {den})")
     return t / den
 

@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import math
 import re
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripdep import gaps, laws
-from stripdep.cli import main, parse_args
+from stripdep.cli import build_parser, main, parse_args
 
 
 def run_cli(capsys, *argv):
@@ -261,7 +264,8 @@ def test_table_series_rows_are_zero_where_no_gap_fits():
 def test_verify_tables_compares_every_series_row_at_every_labelled_width(monkeypatch,
                                                                          capsys):
     # bump each row at width 5: rows i >= 5 have no index-i gap there, so
-    # they fail only if the suite compares them with 0 at that width
+    # they fail only if the suite compares them with 0 at that width, and
+    # each FAIL line names width 5 with the bumped and the engine's value
     series = laws.series_coefficients
 
     def bumped(*args):
@@ -273,7 +277,36 @@ def test_verify_tables_compares_every_series_row_at_every_labelled_width(monkeyp
     _, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "8")
     rows = [line for line in out.splitlines() if "series row" in line]
     assert len(rows) == 14
-    assert all(line.startswith("FAIL: ") and line.endswith("widths 4..8") for line in rows)
+    for line in rows:
+        found, expected = re.fullmatch(
+            r"FAIL: \[tables\] .* widths 4\.\.8 \(K=5: found (\S+), expected (\S+)\)",
+            line).groups()
+        assert Fraction(found) == Fraction(expected) + 1
+
+
+def test_verify_names_each_laws_own_first_failing_width(monkeypatch, capsys):
+    # the mean goes wrong at widths 5 and 8 and the variance at 7 and 9, so
+    # each FAIL line must name its own law's first failing width
+    moments = laws.count_moments
+    width = {math.factorial(K - 1): K for K in range(3, 11)}
+    bumps = {5: (1, 0), 8: (1, 0), 7: (0, 1), 9: (0, 1)}
+
+    def skewed(counts, total):
+        m = moments(counts, total)
+        dm, dv = bumps.get(width[total], (0, 0))
+        return SimpleNamespace(mean=m.mean + dm, variance=m.variance + dv)
+
+    monkeypatch.setattr(laws, "count_moments", skewed)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "roots", "--kmax", "10")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL: [roots] root-count mean K/3 for K=3..10 (K=5: found 8/3, expected 5/3)",
+        "FAIL: [roots] root-count variance law (0, 2/9, then 2K/45) for K=3..10 "
+        "(K=7: found 59/45, expected 14/45)",
+        "PASS: [roots] PGF normalization at z=1 for K=3..10",
+        "PASS: [roots] PGF degree floor((K-1)/2) for K=3..10",
+        "FAILED: 2 failing check(s)",
+    ]
 
 
 def test_oracle_gap_statistics_reject_aux_mode(capsys):
@@ -351,6 +384,45 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots", "--K", "7")
     assert code == 0
     assert json.loads(out)["results"][0]["K"] == 7
+
+
+def test_config_file_gnuplot_key_writes_what_the_flag_writes(tmp_path, capsys):
+    argv = ("simulate", "--K", "8", "--runs", "50", "--seed", "2",
+            "--stat", "roots", "--stat", "gaps", "--i", "1")
+    code, by_flag, _ = run_cli(capsys, *argv, "--gnuplot", str(tmp_path / "flag_"))
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gnuplot={tmp_path / 'file_'}\n")
+    code, by_file, _ = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    assert by_file == by_flag
+
+    def written(prefix):
+        return {p.name[len(prefix):]: p.read_bytes() for p in tmp_path.glob(prefix + "*")}
+
+    assert sorted(written("file_")) == ["gaps_1.dat", "roots.dat"]
+    assert written("file_") == written("flag_")
+
+
+# every long flag of every subcommand, with a config value and its parse
+_FLAG_VALUES = {"K": ("5", 5), "mode": ("aux", "aux"), "out": ("o.json", "o.json"),
+                "format": ("csv", "csv"), "seed": ("4", 4), "runs": ("9", 9),
+                "threads": ("2", 2), "stat": ("roots,gaps", ["roots", "gaps"]),
+                "i": ("1,3", [1, 3]), "n-steps": ("50", 50), "gnuplot": ("h_", "h_"),
+                "kmax": ("6", 6), "suite": ("gaps", "gaps")}
+
+
+def test_every_subcommand_flag_is_a_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for command, sub in build_parser()[1].items():
+        flags = [opt[2:] for action in sub._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"]
+        assert flags and set(flags) <= set(_FLAG_VALUES)
+        for flag in flags:
+            raw, value = _FLAG_VALUES[flag]
+            cfg.write_text(f"{flag}={raw}\n")
+            args = parse_args(["--config", str(cfg), command])
+            assert getattr(args, flag.replace("-", "_")) == value, (command, flag)
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -4,9 +4,10 @@ Each case maps to ``(exit code, SHA-256 of stdout)``, and each error case
 also to its one stderr line. The digests were recorded from the
 `Fraction`-based exact engines that preceded the integer count ones, and
 those of the 200-wide, width 0..2 and error cases from the root engine that
-cached layers between calls, and the `simulate` ones (with the `--gnuplot`
-files) from the ensemble that merged `Counter` histograms chunk by chunk, so
-any change to a pinned output fails here.
+cached layers between calls, the `simulate` ones (with the `--gnuplot`
+files) from the ensemble that merged `Counter` histograms chunk by chunk,
+and the `oracle` ones from the sweep that rebuilt each distribution through
+a `Counter`, so any change to a pinned output fails here.
 Regenerate a digest only for an intended output change, and say which one
 in CHANGES.md.
 """
@@ -50,7 +51,12 @@ CLI_CASES = {
     "exact-roots-K2-error": ("exact-roots", "--K", "2"),
     "exact-roots-aux-K-1-error": ("exact-roots", "--K", "-1", "--mode", "aux"),
     "exact-gaps-K2-error": ("exact-gaps", "--K", "2"),
+    "oracle-K6-json": ("oracle", "--K", "6"),
+    "oracle-K6-aux-json": ("oracle", "--K", "6", "--mode", "aux"),
+    "oracle-K7-gaps-json": ("oracle", "--K", "7", "--i", "1", "--i", "3"),
 }
+CLI_CASES.update({name.replace("json", "csv"): (*argv, "--format", "csv")
+                  for name, argv in list(CLI_CASES.items()) if name.startswith("oracle-")})
 
 # `simulate` over both modes, each kind of statistic alone and together, two
 # workers over two chunks, one run, and the fast-path benchmark's width
@@ -138,6 +144,18 @@ GOLDEN = {
     "exact-roots-K2-error": (2, EMPTY),
     "exact-roots-aux-K-1-error": (2, EMPTY),
     "exact-gaps-K2-error": (2, EMPTY),
+    "oracle-K6-json":
+        (0, "d159c8900f7e113aa76ebf0e28242d5c086f9ee16d741bba540ab2e02192ea1b"),
+    "oracle-K6-csv":
+        (0, "12d9a3808049fcf22944802532b786dd18e2ac0d548e6a2799b3585c2caacf81"),
+    "oracle-K6-aux-json":
+        (0, "215dbb5c7330e8849b3a9b9d83f4315b3e85b9e1f0079f09b1bde18114164dd9"),
+    "oracle-K6-aux-csv":
+        (0, "5519cc5180f4f60e5b99d1d0b0ddbc1144a8297759bdc1e76ae34ceba7c481c6"),
+    "oracle-K7-gaps-json":
+        (0, "4231070c409b15cc7f1bd9813c9be30d6c796a28d55b8804ac9e37f46c1efc63"),
+    "oracle-K7-gaps-csv":
+        (0, "f3c1377751ad055dce020744ebb8a3602c22dee66adb846064fcd21becbf103a"),
     "simulate-json":
         (0, "66bf289e46dcf2d9d83043f250bde825cd743fa3e314a13cdb70b42b2ef6d707"),
     "simulate-csv":
