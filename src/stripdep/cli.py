@@ -12,9 +12,10 @@ Subcommands expose the engines with reproducible configuration:
 
 Data goes to stdout (or --out); progress and timings go to stderr, so data
 outputs are byte-identical for identical configurations. Exact quantities
-are printed as "num/den" strings, never floats. Exit codes: 0 success,
-1 verify found a failing check, 2 configuration/usage error, 3 resource
-guard triggered.
+are printed as "num/den" strings by stripdep.ratpoly.fraction_string, never
+floats; the cyclic/auxiliary root relation lives in stripdep.roots alone.
+Exit codes: 0 success, 1 verify found a failing check, 2 configuration/usage
+error, 3 resource guard triggered.
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
-from fractions import Fraction
 
-from .ensemble import VALID_STATISTICS, EnsembleConfig, EnsembleConfigError, run_ensemble
+from .ensemble import (
+    GENERATOR_ID,
+    VALID_STATISTICS,
+    EnsembleConfig,
+    EnsembleConfigError,
+    run_ensemble,
+)
 from .gaps import TableBudgetError, gap_distribution, gap_moments
 from .laws import SUITES
 from .oracle import (
@@ -37,21 +42,16 @@ from .oracle import (
     enumerate_gap_distribution,
     enumerate_root_distribution,
 )
-from .process import BoundaryMode, _check_width
-from .ratpoly import RationalPolynomial, count_moments
-from .roots import aux_root_layers
+from .process import BoundaryMode
+from .ratpoly import RationalPolynomial, count_moments, fraction_string
+from .roots import root_layers
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
-_MODES = {"cyclic": BoundaryMode.CYCLIC, "aux": BoundaryMode.AUXILIARY}
 _STAT_CHOICES = sorted(s.replace("_", "-") for s in VALID_STATISTICS)
-
-
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _open_out(path: str):
@@ -110,7 +110,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p, *, runs=False, stats=False):
         p.add_argument("--K", type=int, help="substrate width (>= 3)")
-        p.add_argument("--mode", choices=sorted(_MODES), default="cyclic")
+        p.add_argument("--mode", choices=sorted(m.value for m in BoundaryMode), default="cyclic")
         p.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if runs:
@@ -189,7 +189,7 @@ def _cmd_simulate(args) -> int:
     statistics = tuple(s.replace("-", "_") for s in args.stat or ["roots"])
     cfg = EnsembleConfig(
         K=args.K,
-        mode=_MODES[args.mode],
+        mode=BoundaryMode(args.mode),
         runs=args.runs,
         base_seed=args.seed,
         statistics=statistics,
@@ -203,8 +203,7 @@ def _cmd_simulate(args) -> int:
 
     if args.format == "csv" or args.gnuplot:
         series = {(s if i is None else f"gaps_{i}"): stats.histogram_series(s, i)
-                  for s in cfg.statistics
-                  for i in (cfg.gap_lengths if s == "gaps" else (None,))}
+                  for s, i in stats.columns()}
     if args.format == "json":
         payload = stats.summary_dict()
         payload["seed"] = cfg.base_seed
@@ -212,7 +211,7 @@ def _cmd_simulate(args) -> int:
     else:
         rows = [(name, b, c) for name, pairs in series.items() for b, c in pairs]
         _write(_csv_text(("statistic", "bin", "count"), rows,
-                         {**cfg.to_json_dict(), "generator": stats.generator_id}), args.out)
+                         {**cfg.to_json_dict(), "generator": GENERATOR_ID}), args.out)
     if args.gnuplot:
         for name, pairs in series.items():
             path = f"{args.gnuplot}{name}.dat"
@@ -243,7 +242,7 @@ def _k_range(args) -> list[int]:
 
 
 def _exact_result(m, pgf, **keys) -> dict:
-    return {**keys, "mean": _frac(m.mean), "variance": _frac(m.variance),
+    return {**keys, "mean": fraction_string(m.mean), "variance": fraction_string(m.variance),
             "coefficients": pgf.fraction_strings()}
 
 
@@ -258,17 +257,10 @@ def _write_exact(args, config: dict, results: list[dict], keys: tuple[str, ...])
 
 def _cmd_exact_roots(args) -> int:
     widths = _k_range(args)
-    # the cyclic width K is the auxiliary width K-1 with one extra root
-    shift = int(_MODES[args.mode] is BoundaryMode.CYCLIC)
-    if shift:
-        _check_width(widths[0])
-    results = []
-    for n, counts in enumerate(aux_root_layers(widths[-1] - shift)):
-        if n + shift >= widths[0]:
-            counts, total = (0,) * shift + counts, math.factorial(n)
-            results.append(_exact_result(count_moments(counts, total),
-                                         RationalPolynomial.from_counts(counts, total),
-                                         K=n + shift))
+    results = [_exact_result(count_moments(counts, total),
+                             RationalPolynomial.from_counts(counts, total), K=K)
+               for K, counts, total in root_layers(BoundaryMode(args.mode), widths[-1])
+               if K >= widths[0]]
     config = {"engine": "exact-roots", "mode": args.mode,
               "K_values": [r["K"] for r in results]}
     _write_exact(args, config, results, ("K",))
@@ -295,7 +287,7 @@ def _cmd_exact_gaps(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.K is None:
         raise EnsembleConfigError("oracle requires --K")
-    mode = _MODES[args.mode]
+    mode = BoundaryMode(args.mode)
     if args.i and mode is not BoundaryMode.CYCLIC:
         raise EnsembleConfigError("gap statistics are defined for --mode cyclic only")
     dists = ([enumerate_gap_distribution(args.K, i) for i in dict.fromkeys(args.i)] if args.i
@@ -306,7 +298,7 @@ def _cmd_oracle(args) -> int:
     if args.format == "json":
         _write(_json_text(payload), args.out)
     else:
-        rows = [(f"gaps[{d.i}]" if d.i is not None else "roots", v, _frac(p))
+        rows = [(f"gaps[{d.i}]" if d.i is not None else "roots", v, fraction_string(p))
                 for d in dists for v, p in sorted(d.support.items())]
         _write(_csv_text(("statistic", "value", "probability"), rows, config), args.out)
     return EXIT_OK

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -123,16 +123,8 @@ class EnsembleConfig:
                     f"growth statistic needs 1 <= growth_steps <= 2**40, got {self.growth_steps}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "mode": self.mode.value,
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "statistics": list(self.statistics),
-            "gap_lengths": list(self.gap_lengths),
-            "growth_steps": self.growth_steps,
-            "workers": self.workers,
-        }
+        return {**asdict(self), "mode": self.mode.value, "statistics": list(self.statistics),
+                "gap_lengths": list(self.gap_lengths)}
 
 
 def run_stream(base_seed: int, run_index: int) -> np.random.Generator:
@@ -289,13 +281,11 @@ class EnsembleStats:
 
     def __init__(self, config: EnsembleConfig, chunks):
         self.config = config
-        self.runs = config.runs
         cards, gaps, growth = zip(*chunks)
         self.root_counts = np.concatenate(cards)
         self.gap_counts = np.concatenate(gaps)
         self.growth_samples = np.concatenate(growth)
         self.runtime_seconds: float | None = None
-        self.generator_id = GENERATOR_ID
 
     def _per_run(self, statistic: str, i: int | None) -> np.ndarray:
         """One statistic's value for each run, in run order."""
@@ -381,23 +371,24 @@ class EnsembleStats:
             for b, c in series:
                 fh.write(f"{label},{b},{c}\n")
 
+    def columns(self) -> list[tuple[str, int | None]]:
+        """The ``(statistic, i)`` of each reported column, in configuration
+        order: each statistic, and each gap length for gaps (``i`` is None
+        for the others)."""
+        return [(s, i) for s in self.config.statistics
+                for i in (self.config.gap_lengths if s == STAT_GAPS else (None,))]
+
     def summary_dict(self) -> dict:
         """Self-describing summary (deterministic for a fixed config)."""
         stats: dict[str, dict] = {}
-        def entry_for(s, i=None):
+        for s, i in self.columns():
             e = {"mean": self.mean(s, i), "variance": self.variance(s, i)}
-            if self.runs > 1 and e["variance"] > 0:
+            if self.config.runs > 1 and e["variance"] > 0:
                 e["ks_normal"] = self.ks_normal(s, i)
-            return e
-        for s in self.config.statistics:
-            if s == STAT_GAPS:
-                for i in self.config.gap_lengths:
-                    stats[f"gaps[{i}]"] = entry_for(STAT_GAPS, i)
-            else:
-                stats[s] = entry_for(s)
+            stats[s if i is None else f"gaps[{i}]"] = e
         return {
             "config": self.config.to_json_dict(),
-            "generator": self.generator_id,
+            "generator": GENERATOR_ID,
             "statistics": stats,
         }
 

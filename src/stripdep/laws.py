@@ -16,8 +16,14 @@ from .oracle import (
     enumerate_root_distribution,
 )
 from .process import BoundaryMode
-from .ratpoly import MomentSummary, RationalPolynomial, count_moments
-from .roots import aux_root_layers, aux_root_pgf, cyclic_root_pgf, first_step_root_counts
+from .ratpoly import MomentSummary, RationalPolynomial, count_moments, fraction_string
+from .roots import (
+    aux_root_layers,
+    aux_root_pgf,
+    cyclic_counts,
+    cyclic_root_pgf,
+    first_step_root_counts,
+)
 
 
 class Law:
@@ -29,15 +35,16 @@ class Law:
         self.name = name
         self.failure = None
 
-    def check(self, K: int, found, expected) -> None:
+    def check(self, K: int, found, expected, i: int | None = None) -> None:
+        """Compare at width K; a law checked per gap index also names ``i``."""
         if self.failure is None and found != expected:
-            self.failure = (K, found, expected)
+            self.failure = (f"K={K}" if i is None else f"K={K}, i={i}", found, expected)
 
     def __str__(self) -> str:
         if self.failure is None:
             return self.name
-        K, found, expected = self.failure
-        return f"{self.name} (K={K}: found {_show(found)}, expected {_show(expected)})"
+        where, found, expected = self.failure
+        return f"{self.name} ({where}: found {_show(found)}, expected {_show(expected)})"
 
 
 def _show(value) -> str:
@@ -47,8 +54,7 @@ def _show(value) -> str:
     if isinstance(value, (tuple, list)):
         return f"({', '.join(map(_show, value))})"
     if isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-        return f"{value.numerator}/{value.denominator}"
+        return fraction_string(value)
     return str(value)
 
 
@@ -62,7 +68,7 @@ def suite_roots(kmax: int) -> list[Law]:
         Law(f"PGF degree floor((K-1)/2) for K=3..{kmax}")]
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
     for K, (below, counts) in enumerate(islice(pairwise(aux_root_layers(kmax)), 2, None), 3):
-        m = count_moments((0, *below), math.factorial(K - 1))
+        m = count_moments(*cyclic_counts(K - 1, below))
         mean.check(K, m.mean, Fraction(K, 3))
         variance.check(K, m.variance, variance_law.get(K, Fraction(2 * K, 45)))
         normalization.check(K, sum(counts), math.factorial(K))
@@ -208,7 +214,7 @@ def suite_oracle(kmax: int) -> list[Law]:
         aux.check(K, enumerate_root_distribution(K, BoundaryMode.AUXILIARY).pgf(),
                   aux_root_pgf(K))
         for i in range(1, K):
-            gaps.check(K, enumerate_gap_distribution(K, i).pgf(), gap_distribution(i, K))
+            gaps.check(K, enumerate_gap_distribution(K, i).pgf(), gap_distribution(i, K), i)
         laws += width_laws
     return laws
 

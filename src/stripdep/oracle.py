@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .process import BoundaryMode, _check_width
-from .ratpoly import RationalPolynomial
+from .ratpoly import RationalPolynomial, fraction_string
 
 # Hard guard on the K! sweep. At K = 10 (3,628,800 orders) the cyclic sweep
 # takes about 0.65 s and the auxiliary one 0.14 s on a 2-core Intel Xeon box;
@@ -86,16 +86,9 @@ class ExactDistribution:
         return RationalPolynomial(coeffs)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "statistic": self.statistic,
-            "K": self.K,
-            "mode": self.mode.value,
-            "support": {str(v): f"{p.numerator}/{p.denominator}"
-                        for v, p in sorted(self.support.items())},
-        }
-        if self.i is not None:
-            out["i"] = self.i
-        return out
+        out = {"statistic": self.statistic, "K": self.K, "mode": self.mode.value,
+               "support": {str(v): fraction_string(p) for v, p in sorted(self.support.items())}}
+        return out if self.i is None else {**out, "i": self.i}
 
 
 # A block fixes the ranks of the first K - min(K, 7) sites and takes every

@@ -5,6 +5,7 @@ root layer is a list of counts summing to n!. Only what they return is a
 `RationalPolynomial`, a probability generating function (PGF) with
 `fractions.Fraction` coefficients, built once by `from_counts`. Moments are
 taken from the counts by `count_moments`, or from a PGF by `pgf_moments`.
+Every exact number the package prints is written by `fraction_string`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+
+def fraction_string(value) -> str:
+    """An int or `Fraction` as "num/den" in lowest terms, the wire format of
+    every exact number the package prints."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _as_fraction(value) -> Fraction:
@@ -78,14 +85,6 @@ class RationalPolynomial:
                     out[i + j] += ai * bj
         return RationalPolynomial(out)
 
-    def shift(self, powers: int) -> "RationalPolynomial":
-        """Multiply by x**powers."""
-        if powers < 0:
-            raise ValueError("powers must be non-negative")
-        if not self._coeffs:
-            return self
-        return RationalPolynomial((Fraction(0),) * powers + self._coeffs)
-
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
         acc = Fraction(0)
@@ -101,8 +100,8 @@ class RationalPolynomial:
         return all(c >= 0 for c in self._coeffs) and self.sum_of_coefficients() == 1
 
     def fraction_strings(self) -> list[str]:
-        """Coefficients as "num/den" strings (wire format for exact output)."""
-        return [f"{c.numerator}/{c.denominator}" for c in self._coeffs]
+        """Coefficients as "num/den" strings."""
+        return list(map(fraction_string, self._coeffs))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial([{', '.join(str(c) for c in self._coeffs)}])"

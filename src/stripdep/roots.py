@@ -18,9 +18,16 @@ with W_0 = W_1 = 1: per coefficient, c_d t^d adds (2 + 2d) c_d to t^d and
 (K - 1 - 2d) c_d to t^{d+1}. A layer costs O(K) integer operations.
 `aux_root_layers` streams W_0, W_1, ... and holds one layer at a time, so
 a walk over widths costs one insertion per width and nothing is cached
-between calls. The counts stay integers: `aux_root_pgf` divides them by K!
-only to return its `RationalPolynomial`, and `verify roots` and
-`exact-roots` take their moments straight from the counts.
+between calls. The counts stay integers: the PGFs divide them by the
+number of orders only to return a `RationalPolynomial`, and `verify roots`
+and `exact-roots` take their moments straight from the counts.
+
+The cyclic process of width K, observed after its first particle, is the
+auxiliary process of width K-1 with one extra root, so its PGF is
+t * L_{K-1}(t): the counts of W_{K-1} one power up, over (K-1)! orders.
+`cyclic_counts` is the one place that applies this shift: `root_layers`
+streams the layers of either boundary mode through it, and `verify roots`
+applies it to the auxiliary walk it already makes.
 
 The paper's first-step decomposition is kept as the reference engine
 (`first_step_root_counts`): the first deposit either extends a boundary
@@ -30,9 +37,7 @@ creating a root and splitting the strip into two independent sub-strips,
     W_K(t) = 2 W_{K-1}(t) + t * sum_{j=2}^{K-1} C(K-1, j-1) W_{j-1}(t) W_{K-j}(t),
 
 which is L_K = (2 L_{K-1} + t sum L_{j-1} L_{K-j}) / K multiplied by K!.
-`verify tables` checks that the two engines agree. The cyclic process of
-width K, observed after its first particle, is the auxiliary process of
-width K-1 with one extra root, so its PGF is t * L_{K-1}(t).
+`verify tables` checks that the two engines agree.
 
 Two floating-point companions cross-check the exact engine: the closed form
 of the series sum over K (`root_series_closed_form`) and the dominant-pole
@@ -50,21 +55,8 @@ import math
 from collections import deque
 from collections.abc import Iterator
 
-from .process import _check_width
-from .ratpoly import MomentSummary, RationalPolynomial, pgf_moments
-
-__all__ = [
-    "aux_root_counts",
-    "aux_root_layers",
-    "aux_root_pgf",
-    "cyclic_root_pgf",
-    "first_step_root_counts",
-    "pgf_moments",
-    "MomentSummary",
-    "root_series_closed_form",
-    "asymptotic_root_pgf",
-    "pole_position",
-]
+from .process import MIN_WIDTH, BoundaryMode, _check_width
+from .ratpoly import RationalPolynomial
 
 # root_series_closed_form treats a denominator this small (relative to the
 # tangent, once that exceeds 1) as a pole
@@ -91,6 +83,27 @@ def aux_root_layers(k_max: int) -> Iterator[tuple[int, ...]]:
         yield counts
         if 0 < n < k_max:
             counts = _insert_largest(n, counts)
+
+
+def cyclic_counts(n: int, counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(counts, total) of the cyclic width n + 1 from the auxiliary layer
+    W_n: one extra root, over n! first-hit orders."""
+    return (0, *counts), math.factorial(n)
+
+
+def root_layers(mode: BoundaryMode,
+                k_max: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(K, counts, total) for each width K up to k_max, from 0 in auxiliary
+    mode and from 3 in cyclic mode: counts[d] of the total first-hit orders
+    leave d roots."""
+    if mode is BoundaryMode.AUXILIARY:
+        for K, counts in enumerate(aux_root_layers(k_max)):
+            yield K, counts, math.factorial(K)
+        return
+    _check_width(k_max)
+    for n, counts in enumerate(aux_root_layers(k_max - 1)):
+        if n + 1 >= MIN_WIDTH:
+            yield n + 1, *cyclic_counts(n, counts)
 
 
 def aux_root_counts(K: int) -> tuple[int, ...]:
@@ -126,8 +139,8 @@ def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
 
 def cyclic_root_pgf(K: int) -> RationalPolynomial:
     """PGF of the final root count of the cyclic process of width K >= 3."""
-    _check_width(K)
-    return aux_root_pgf(K - 1).shift(1)
+    _, counts, total = deque(root_layers(BoundaryMode.CYCLIC, K), maxlen=1)[0]
+    return RationalPolynomial.from_counts(counts, total)
 
 
 def root_series_closed_form(x, z) -> complex:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripdep import gaps, laws
 from stripdep.cli import build_parser, main, parse_args
+from stripdep.ratpoly import RationalPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +308,19 @@ def test_verify_names_each_laws_own_first_failing_width(monkeypatch, capsys):
         "PASS: [roots] PGF degree floor((K-1)/2) for K=3..10",
         "FAILED: 2 failing check(s)",
     ]
+
+
+def test_verify_oracle_names_the_failing_gap_index(monkeypatch, capsys):
+    # the engine's gap-2 law at width 5 is replaced by the point mass at 0
+    engine = laws.gap_distribution
+    monkeypatch.setattr(laws, "gap_distribution",
+                        lambda i, K: RationalPolynomial([1]) if (i, K) == (2, 5)
+                        else engine(i, K))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--kmax", "5")
+    assert code == 1
+    assert ("FAIL: [oracle] gap enumeration equals recursion engine at K=5, all i "
+            "(K=5, i=2: found (1/3, 2/3), expected (1/1))") in out.splitlines()
+    assert out.endswith("FAILED: 1 failing check(s)\n")
 
 
 def test_oracle_gap_statistics_reject_aux_mode(capsys):

@@ -84,6 +84,13 @@ def test_config_collects_a_repeated_statistic_or_gap_length_once():
     assert sum(stats.histogram("gaps", 2).values()) == 100
 
 
+def test_columns_keep_configuration_order():
+    stats = run_ensemble(EnsembleConfig(K=8, runs=20, statistics=("gaps", "roots"),
+                                        gap_lengths=(3, 1)))
+    assert stats.columns() == [("gaps", 3), ("gaps", 1), ("roots", None)]
+    assert list(stats.summary_dict()["statistics"]) == ["gaps[3]", "gaps[1]", "roots"]
+
+
 def test_run_stream_reproducibility():
     a = run_stream(99, 7).integers(0, 1 << 30, size=8)
     b = run_stream(99, 7).integers(0, 1 << 30, size=8)

@@ -7,6 +7,7 @@ from stripdep.ratpoly import (
     MomentSummary,
     RationalPolynomial as P,
     count_moments,
+    fraction_string,
     pgf_moments,
 )
 
@@ -22,7 +23,6 @@ def test_arithmetic():
     p = P([1, 2])          # 1 + 2x
     q = P([0, 0, 3])       # 3x^2
     assert p * q == P([0, 0, 3, 6])
-    assert p.shift(2) == P([0, 0, 1, 2])
     assert (p * q).degree == p.degree + q.degree
 
 
@@ -100,3 +100,5 @@ def test_series_rejects_vanishing_denominator():
 
 def test_fraction_strings():
     assert P([F(2, 3), 1]).fraction_strings() == ["2/3", "1/1"]
+    assert fraction_string(3) == "3/1"
+    assert fraction_string(F(-4, 6)) == "-2/3"

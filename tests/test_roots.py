@@ -10,7 +10,7 @@ from stripdep.cli import main
 from stripdep.laws import suite_roots
 from stripdep.oracle import enumerate_root_distribution
 from stripdep.process import BoundaryMode
-from stripdep.ratpoly import RationalPolynomial as P
+from stripdep.ratpoly import RationalPolynomial as P, pgf_moments
 from stripdep.roots import (
     asymptotic_root_pgf,
     aux_root_counts,
@@ -18,8 +18,8 @@ from stripdep.roots import (
     aux_root_pgf,
     cyclic_root_pgf,
     first_step_root_counts,
-    pgf_moments,
     pole_position,
+    root_layers,
     root_series_closed_form,
 )
 
@@ -149,6 +149,18 @@ def test_layer_stream_makes_one_insertion_per_width(insertions):
         insertions.clear()
         assert list(aux_root_layers(k)) == reference[:k + 1]
         assert insertions == list(range(1, k))
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_mode_stream_is_the_auxiliary_stream_shifted_for_cyclic(insertions, mode):
+    aux = list(aux_root_layers(60))
+    insertions.clear()
+    if mode is BoundaryMode.CYCLIC:
+        expected = [(K, (0, *aux[K - 1]), math.factorial(K - 1)) for K in range(3, 61)]
+    else:
+        expected = [(K, aux[K], math.factorial(K)) for K in range(61)]
+    assert list(root_layers(mode, 60)) == expected
+    assert insertions == list(range(1, 59 if mode is BoundaryMode.CYCLIC else 60))
 
 
 def test_layer_stream_rejects_negative_widths():
