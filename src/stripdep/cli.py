@@ -108,8 +108,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         help="key=value defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, runs=False, stats=False):
-        p.add_argument("--K", type=int, help="substrate width (>= 3)")
+    def common(p, *, runs=False, stats=False, width="substrate width (>= 3)"):
+        p.add_argument("--K", type=int, help=width)
         p.add_argument("--mode", choices=sorted(m.value for m in BoundaryMode), default="cyclic")
         p.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -131,12 +131,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p, runs=True, stats=True)
 
     p = sub.add_parser("exact-roots", help="exact root-count distributions")
-    common(p)
-    p.add_argument("--kmax", type=int, help="compute all widths 3..kmax")
+    common(p, width="substrate width (>= 3; --mode aux also takes 0, 1 and 2, "
+                    "which have no interior site and so no root)")
+    p.add_argument("--kmax", type=int, help="compute all widths 3..kmax (kmax >= 3 in "
+                                            "both modes); not with --K")
 
     p = sub.add_parser("exact-gaps", help="exact gap-count distributions")
     common(p)
-    p.add_argument("--kmax", type=int, help="compute all widths 3..kmax")
+    p.add_argument("--kmax", type=int, help="compute all widths 3..kmax; not with --K")
     p.add_argument("--i", action="append", type=int, default=None,
                    help="gap length (repeatable; default 1)")
 
@@ -233,6 +235,10 @@ def _check_kmax(kmax: int) -> None:
 
 
 def _k_range(args) -> list[int]:
+    # a config-file value counts as given, so neither can silently win
+    if args.K is not None and args.kmax is not None:
+        raise EnsembleConfigError(f"--K {args.K} and --kmax {args.kmax} are exclusive: "
+                                  f"give one width or one range")
     if args.kmax is not None:
         _check_kmax(args.kmax)
         return list(range(3, args.kmax + 1))

@@ -309,23 +309,25 @@ class EnsembleStats:
             values.sort()
         return values
 
+    def _power_sums(self, statistic: str, i: int | None) -> tuple[int, int, int]:
+        """(n, sum v, sum v^2) of an integer statistic, summed over its
+        histogram in Python integers, which cannot overflow."""
+        hist = self.histogram(statistic, i)
+        return (sum(hist.values()), sum(v * c for v, c in hist.items()),
+                sum(v * v * c for v, c in hist.items()))
+
     def mean(self, statistic: str, i: int | None = None) -> float:
         if statistic in (STAT_ROOTS, STAT_GAPS):
-            hist = self.histogram(statistic, i)
-            n = sum(hist.values())
-            return sum(v * c for v, c in hist.items()) / n
+            n, s1, _ = self._power_sums(statistic, i)
+            return s1 / n
         return float(np.mean(self.samples(statistic)))
 
     def variance(self, statistic: str, i: int | None = None) -> float:
-        """Unbiased sample variance; 0.0 below two samples. Integer
-        statistics sum in Python integers, which cannot overflow."""
+        """Unbiased sample variance; 0.0 below two samples."""
         if statistic in (STAT_ROOTS, STAT_GAPS):
-            hist = self.histogram(statistic, i)
-            n = sum(hist.values())
+            n, s1, s2 = self._power_sums(statistic, i)
             if n < 2:
                 return 0.0
-            s1 = sum(v * c for v, c in hist.items())
-            s2 = sum(v * v * c for v, c in hist.items())
             return (s2 - s1 * s1 / n) / (n - 1)
         samples = self.samples(statistic)
         return float(np.var(samples, ddof=1)) if len(samples) > 1 else 0.0

@@ -54,8 +54,9 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .process import MIN_WIDTH, _check_width
-from .ratpoly import MomentSummary, RationalPolynomial, count_moments
+from .process import MIN_WIDTH, _check_gap_index, _check_width
+from .ratpoly import (MomentSummary, RationalPolynomial, add_into, coefficient_product,
+                      count_moments)
 
 # Stored-coefficient budget for one recursion table, read as each entry is
 # stored. Generous for every use in this package (width 40 stays under 5e3
@@ -74,23 +75,6 @@ class TableBudgetError(RuntimeError):
         self.i = i
         self.state = state
         self.budget = budget
-
-
-# coefficient lists for `abc_recursion`, whose counts can be negative and so
-# cannot be packed into slots
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for p, x in enumerate(a):
-        for q, y in enumerate(b):
-            out[p + q] += x * y
-    return out
-
-
-def _add_into(acc: list[int], poly: list[int], weight: int = 1) -> None:
-    if len(acc) < len(poly):
-        acc.extend([0] * (len(poly) - len(acc)))
-    for p, c in enumerate(poly):
-        acc[p] += weight * c
 
 
 def _slot_bytes(k_max: int) -> int:
@@ -224,8 +208,6 @@ _table_cache: dict[int, GapRecursionTable] = {}
 
 def gap_pgf_table(i: int, k_max: int) -> GapRecursionTable:
     """Shared, lazily extended recursion table for gap index ``i``."""
-    if i < 1:
-        raise ValueError(f"gap index must be >= 1, got {i}")
     table = _table_cache.get(i)
     if table is None:
         table = _table_cache[i] = GapRecursionTable(i, k_max)
@@ -237,8 +219,7 @@ def gap_pgf_table(i: int, k_max: int) -> GapRecursionTable:
 def _ring_table(i: int, K: int) -> GapRecursionTable:
     """The table whose state (0, 0, K-1) is the cyclic process of width K."""
     _check_width(K)
-    if not 1 <= i <= K - 1:
-        raise ValueError(f"gap index {i} out of range 1..{K - 1}")
+    _check_gap_index(i, K)
     return gap_pgf_table(i, K - 1)
 
 
@@ -271,7 +252,8 @@ def abc_recursion(k_max: int) -> list[AbcTriple]:
     and all three have degree (2K - 1 - 3*(-1)**K) / 4. In the recursion
     for width K+1, multiplied through by K!, the counts A_K = K! * a_K (and
     B, C alike) take C(K, j) on each convolution term, K on terms of width
-    K-1, K(K-1) on terms of width K-2 and K! on the source terms.
+    K-1, K(K-1) on terms of width K-2 and K! on the source terms. These
+    counts can be negative, so they are coefficient lists, not packed slots.
     """
     if k_max < MIN_WIDTH:
         raise ValueError(f"k_max must be >= {MIN_WIDTH}, got {k_max}")
@@ -290,19 +272,19 @@ def abc_recursion(k_max: int) -> list[AbcTriple]:
         c_next = [f * x for x in c_src]
         for j in range(3, K - 2):
             w = math.comb(K, j)
-            _add_into(a_next, _mul(B[j], B[K - j]), w)
-            _add_into(b_next, _mul(B[j], C[K - j]), w)
-            _add_into(c_next, _mul(C[j], C[K - j]), w)
-        _add_into(a_next, _mul([1, -1], B[K - 1]), 2 * K)
-        _add_into(b_next, A[K])
-        _add_into(b_next, B[K])
-        _add_into(b_next, [0, *B[K - 1]], K)
-        _add_into(b_next, B[K - 2], K * (K - 1))
-        _add_into(b_next, _mul([1, -1], C[K - 1]), K)
-        _add_into(c_next, B[K], 2)
-        _add_into(c_next, C[K], 2)
-        _add_into(c_next, [0, *C[K - 1]], 2 * K)
-        _add_into(c_next, C[K - 2], 2 * K * (K - 1))
+            add_into(a_next, coefficient_product(B[j], B[K - j]), w)
+            add_into(b_next, coefficient_product(B[j], C[K - j]), w)
+            add_into(c_next, coefficient_product(C[j], C[K - j]), w)
+        add_into(a_next, coefficient_product([1, -1], B[K - 1]), 2 * K)
+        add_into(b_next, A[K])
+        add_into(b_next, B[K])
+        add_into(b_next, [0, *B[K - 1]], K)
+        add_into(b_next, B[K - 2], K * (K - 1))
+        add_into(b_next, coefficient_product([1, -1], C[K - 1]), K)
+        add_into(c_next, B[K], 2)
+        add_into(c_next, C[K], 2)
+        add_into(c_next, [0, *C[K - 1]], 2 * K)
+        add_into(c_next, C[K - 2], 2 * K * (K - 1))
         A.append(a_next)
         B.append(b_next)
         C.append(c_next)

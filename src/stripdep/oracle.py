@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .process import BoundaryMode, _check_width
+from .process import BoundaryMode, _check_gap_index, _check_width
 from .ratpoly import RationalPolynomial, fraction_string
 
 # Hard guard on the K! sweep. At K = 10 (3,628,800 orders) the cyclic sweep
@@ -164,8 +164,7 @@ def enumerate_root_distribution(K: int, mode: BoundaryMode) -> ExactDistribution
 def enumerate_gap_distribution(K: int, i: int) -> ExactDistribution:
     """Exact distribution of the number of gaps of index ``i`` (cyclic mode)."""
     _check_enumeration_width(K)
-    if not 1 <= i <= K - 1:
-        raise ValueError(f"gap index {i} out of range 1..{K - 1}")
+    _check_gap_index(i, K)
     _, gap_hist = _enumerate(K, BoundaryMode.CYCLIC)
     return ExactDistribution(statistic="gaps", K=K, mode=BoundaryMode.CYCLIC,
                              support=_support(gap_hist[i], K), i=i)

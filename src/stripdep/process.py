@@ -45,10 +45,10 @@ def _check_width(K: int) -> None:
         raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
 
 
-def _check_site(k: int, K: int) -> None:
-    _check_width(K)
-    if not 1 <= k <= K:
-        raise ValueError(f"site {k} out of range 1..{K}")
+def _check_gap_index(i: int, K: int) -> None:
+    """A gap of index i spans i+1 sites of the ring, so 1 <= i <= K-1."""
+    if not 1 <= i <= K - 1:
+        raise ValueError(f"gap index {i} out of range 1..{K - 1}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class GapVector:
     counts: tuple[int, ...]
 
     def count(self, i: int) -> int:
-        if not 1 <= i <= self.K - 1:
-            raise ValueError(f"gap index {i} out of range 1..{self.K - 1}")
+        _check_gap_index(i, self.K)
         return self.counts[i - 1]
 
     def total(self) -> int:
@@ -111,18 +110,12 @@ def roots_from_permutation(perm: FirstHitPermutation, mode: BoundaryMode) -> Roo
     occupied from the start, so sites 1 and K can never be roots there."""
     K = perm.K
     ranks = perm.ranks
-    roots = []
-    if mode is BoundaryMode.CYCLIC:
-        for k in range(1, K + 1):
-            r = ranks[k - 1]
-            if r < ranks[k - 2] and r < ranks[k % K]:
-                roots.append(k)
-    else:
-        for k in range(2, K):
-            r = ranks[k - 1]
-            if r < ranks[k - 2] and r < ranks[k]:
-                roots.append(k)
-    return RootSet(K=K, mode=mode, roots=tuple(roots))
+    # k - 2 and k % K wrap round the ring at the cyclic sites 1 and K; the
+    # auxiliary sites 2..K-1 never wrap
+    sites = range(1, K + 1) if mode is BoundaryMode.CYCLIC else range(2, K)
+    roots = tuple(k for k in sites
+                  if ranks[k - 1] < ranks[k - 2] and ranks[k - 1] < ranks[k % K])
+    return RootSet(K=K, mode=mode, roots=roots)
 
 
 def first_hit_ranks(targets, K: int) -> FirstHitPermutation:
@@ -131,7 +124,8 @@ def first_hit_ranks(targets, K: int) -> FirstHitPermutation:
     ranks = [0] * K
     seen = 0
     for t in targets:
-        _check_site(t, K)
+        if not 1 <= t <= K:
+            raise ValueError(f"site {t} out of range 1..{K}")
         if ranks[t - 1] == 0:
             seen += 1
             ranks[t - 1] = seen

@@ -1,4 +1,5 @@
-"""The exact output type of the engines, and moments from integer counts.
+"""Coefficient-list arithmetic, the exact output type of the engines, and
+moments from integer counts.
 
 The engines count first-hit orders in Python integers: a table entry or a
 root layer is a list of counts summing to n!. Only what they return is a
@@ -6,6 +7,11 @@ root layer is a list of counts summing to n!. Only what they return is a
 `fractions.Fraction` coefficients, built once by `from_counts`. Moments are
 taken from the counts by `count_moments`, or from a PGF by `pgf_moments`.
 Every exact number the package prints is written by `fraction_string`.
+
+On coefficient lists of ints or `Fraction`s (index = power),
+`coefficient_product` and `add_into` are the package's one product and
+weighted sum: the first-step root recursion, the unit-gap triples and
+`RationalPolynomial.__mul__` use them.
 """
 
 from __future__ import annotations
@@ -19,6 +25,27 @@ def fraction_string(value) -> str:
     """An int or `Fraction` as "num/den" in lowest terms, the wire format of
     every exact number the package prints."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def coefficient_product(a, b) -> list:
+    """Coefficients of the product of the polynomials with coefficient lists
+    ``a`` and ``b``; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        if x:
+            for q, y in enumerate(b):
+                out[p + q] += x * y
+    return out
+
+
+def add_into(acc: list, poly, weight=1) -> None:
+    """acc += weight * poly, in place, extending ``acc`` with zeros as needed."""
+    if len(acc) < len(poly):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for p, c in enumerate(poly):
+        acc[p] += weight * c
 
 
 def _as_fraction(value) -> Fraction:
@@ -75,15 +102,7 @@ class RationalPolynomial:
     def __mul__(self, other) -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return RationalPolynomial(out)
+        return RationalPolynomial(coefficient_product(self._coeffs, other._coeffs))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""

@@ -56,7 +56,7 @@ from collections import deque
 from collections.abc import Iterator
 
 from .process import MIN_WIDTH, BoundaryMode, _check_width
-from .ratpoly import RationalPolynomial
+from .ratpoly import RationalPolynomial, add_into, coefficient_product
 
 # root_series_closed_form treats a denominator this small (relative to the
 # tangent, once that exceeds 1) as a pole
@@ -124,15 +124,9 @@ def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
     for n in range(2, k_max + 1):
         acc = [2 * c for c in layers[n - 1]]
         for j in range(2, n):
-            weight = math.comb(n - 1, j - 1)
-            left, right = layers[j - 1], layers[n - j]
-            need = len(left) + len(right)           # one more for the factor t
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for a, x in enumerate(left):
-                wx = weight * x
-                for b, y in enumerate(right):
-                    acc[a + b + 1] += wx * y
+            # the factor t: the product one power up
+            add_into(acc, [0, *coefficient_product(layers[j - 1], layers[n - j])],
+                     math.comb(n - 1, j - 1))
         layers.append(acc)
     return [tuple(layer) for layer in layers[:k_max + 1]]
 

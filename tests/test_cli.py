@@ -137,6 +137,29 @@ def test_exact_roots_range_csv(capsys):
     assert len(body) == 1 + 4
 
 
+# --K and --kmax: both given as flags, or --K as a flag and kmax in the file
+@pytest.mark.parametrize("in_file", [False, True])
+def test_exact_roots_refuses_K_with_kmax(tmp_path, capsys, in_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=7\n")
+    argv = (("--config", str(cfg), "exact-roots", "--K", "5") if in_file
+            else ("exact-roots", "--K", "5", "--kmax", "7"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --K 5 and --kmax 7 are exclusive: give one width or one range\n"
+
+
+@pytest.mark.parametrize("in_file", [False, True])
+def test_exact_gaps_refuses_K_with_kmax(tmp_path, capsys, in_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K=9\n")
+    argv = (("--config", str(cfg), "exact-gaps", "--kmax", "5") if in_file
+            else ("exact-gaps", "--K", "9", "--kmax", "5"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --K 9 and --kmax 5 are exclusive: give one width or one range\n"
+
+
 def test_exact_gaps_json(capsys):
     code, out, _ = run_cli(capsys, "exact-gaps", "--K", "4", "--i", "1")
     assert code == 0

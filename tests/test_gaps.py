@@ -54,9 +54,9 @@ def test_gap_distribution_small_widths():
     assert gap_distribution(1, 3) == ONE      # a lone root spans the ring
     assert gap_distribution(2, 3) == U
     assert gap_distribution(2, 4) == ONE      # distance 3 would need adjacency
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gap index 3 out of range 1\.\.2$"):
         gap_distribution(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gap index 0 out of range 1\.\.4$"):
         gap_distribution(0, 5)
     with pytest.raises(ValueError):
         gap_distribution(1, 2)

@@ -112,8 +112,9 @@ def test_resource_guard():
         enumerate_root_distribution(MAX_ENUMERATION_WIDTH + 1, C)
     with pytest.raises(ValueError):
         enumerate_root_distribution(2, C)
-    with pytest.raises(ValueError):
-        enumerate_gap_distribution(5, 5)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match=rf"^gap index {i} out of range 1\.\.4$"):
+            enumerate_gap_distribution(5, i)
 
 
 def test_json_dump_uses_fraction_strings():

@@ -79,6 +79,8 @@ def test_first_hit_ranks():
     assert perm.ranks == (3, 1, 2)
     with pytest.raises(ValueError):
         first_hit_ranks([1, 1, 1], 3)
+    with pytest.raises(ValueError, match=r"^site 4 out of range 1\.\.3$"):
+        first_hit_ranks([2, 4, 1, 3], 3)
 
 
 def _simulate_roots_by_deposits(K, mode, targets):
@@ -117,6 +119,9 @@ def test_gap_vector_examples():
     assert gap_vector(RootSet(5, C, (2,))).counts == (0, 0, 0, 1)
     gv = gap_vector(RootSet(7, C, (1, 4)))
     assert gv.count(2) == 1 and gv.count(3) == 1
+    for i in (0, 7):
+        with pytest.raises(ValueError, match=rf"^gap index {i} out of range 1\.\.6$"):
+            gv.count(i)
     assert gv.total() == 2
 
 

@@ -6,6 +6,8 @@ from stripdep.laws import series_coefficients
 from stripdep.ratpoly import (
     MomentSummary,
     RationalPolynomial as P,
+    add_into,
+    coefficient_product,
     count_moments,
     fraction_string,
     pgf_moments,
@@ -24,6 +26,20 @@ def test_arithmetic():
     q = P([0, 0, 3])       # 3x^2
     assert p * q == P([0, 0, 3, 6])
     assert (p * q).degree == p.degree + q.degree
+
+
+def test_coefficient_product_and_add_into_on_ints_and_fractions():
+    assert coefficient_product([1, 2], [0, 0, 3]) == [0, 0, 3, 6]
+    assert coefficient_product([1, -1], [2, 1]) == [2, -1, -1]
+    assert coefficient_product([F(1, 2), 1], [F(2, 3)]) == [F(1, 3), F(2, 3)]
+    assert coefficient_product([], [1, 2]) == coefficient_product([3], []) == []
+    acc = [1]                                   # shorter than the addend
+    add_into(acc, [0, 2, 5], 3)
+    assert acc == [1, 6, 15]
+    add_into(acc, [F(1, 2)])                    # weight 1
+    assert acc == [F(3, 2), 6, 15]
+    add_into(acc, [], 7)
+    assert acc == [F(3, 2), 6, 15]
 
 
 def test_mul_cancellation_keeps_canonical_degree():
