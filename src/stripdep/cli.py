@@ -34,7 +34,7 @@ from .ensemble import (
     EnsembleConfigError,
     run_ensemble,
 )
-from .gaps import TableBudgetError, gap_distribution, gap_moments
+from .gaps import TableBudgetError, gap_distribution, gap_moments, gap_pgf_table
 from .laws import SUITES
 from .oracle import (
     MAX_ENUMERATION_WIDTH,
@@ -281,7 +281,10 @@ def _cmd_exact_gaps(args) -> int:
     for i in lengths:
         if i > widths[-1] - 1:
             raise EnsembleConfigError(f"gap length {i} out of range 1..{widths[-1] - 1}")
-    # range mode skips the widths below i+1
+    # one extend per table at the widest width, then range mode reads it,
+    # skipping the widths below i+1
+    for i in lengths:
+        gap_pgf_table(i, widths[-1] - 1)
     results = [_exact_result(gap_moments(i, K), gap_distribution(i, K), i=i, K=K)
                for i in lengths for K in widths if i <= K - 1]
     config = {"engine": "exact-gaps", "i_values": lengths,

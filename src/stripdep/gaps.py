@@ -38,7 +38,12 @@ entries sit in rows by (l', r'), indexed by m from the boundary states up,
 with rows[l'][r'] and rows[r'][l'] the same list. Each stored entry is
 checked to be non-negative with slots summing to m!, which a carry would
 break. Extending a table past its slot width repacks the rows into slots
-at least twice as wide. `counts` and `stored_counts` unpack on read.
+at least twice as wide, so a table grown one width at a time is repacked on
+the way and keeps slots up to twice the minimal width: for i = 7 to k = 39
+it took 15.5 ms in 32-byte slots, against 9.7 ms built at once in 20-byte
+slots, on a shared 2-core Xeon. A caller that reads a range of widths
+therefore asks for `gap_pgf_table(i, widest - 1)` first. `counts` and
+`stored_counts` unpack on read.
 
 A second, much cheaper engine covers i = 1: the interval PGFs for unit gaps
 collapse onto a triple of polynomial sequences (a_K, b_K, c_K) driven by
@@ -183,7 +188,9 @@ class GapRecursionTable:
         are built by that k, then by s = l' + r' from the deepest layer up,
         so every state a rule reads is already stored. A wider slot is at
         least twice the old width, so a table extended one width at a time
-        is repacked O(log k_max) times.
+        is repacked O(log k_max) times on the way and keeps slots up to
+        twice the minimal width; a caller that reads a range of widths
+        extends to the widest first.
         """
         if _slot_bytes(k_max) > self._width:
             self._repack(max(_slot_bytes(k_max), 2 * self._width))

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -508,6 +509,45 @@ def test_gap_table_budget_guard_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "budget of 10" in err
+
+
+def _exact_gaps_1_and_5():
+    return main(["exact-gaps", "--kmax", "30", "--i", "1", "--i", "5"])
+
+
+# each range reader alone from a cold cache, and the readers in a row
+@pytest.mark.parametrize("callers, indices", [
+    ((lambda: laws.suite_gaps(40),), range(1, 25)),
+    ((lambda: laws.suite_tables(25),), range(1, 8)),
+    ((lambda: laws.suite_oracle(7),), range(1, 7)),
+    ((_exact_gaps_1_and_5,), (1, 5)),
+    ((lambda: laws.suite_gaps(40), lambda: laws.suite_tables(25), _exact_gaps_1_and_5),
+     range(1, 25)),
+], ids=["gaps", "tables", "oracle", "exact-gaps", "in-a-row"])
+def test_range_readers_build_each_gap_table_once_at_minimal_slots(monkeypatch, callers, indices):
+    # each caller asks for its widest width first, so no table is repacked
+    # past its first (empty) slot width or extended a second time
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    grown, repacked = Counter(), Counter()
+    extend, repack = gaps.GapRecursionTable.extend, gaps.GapRecursionTable._repack
+
+    def counted_extend(table, k_max):
+        grown[table.i] += k_max > table.k_max
+        return extend(table, k_max)
+
+    def counted_repack(table, width):
+        repacked[table.i] += 1
+        repack(table, width)
+
+    monkeypatch.setattr(gaps.GapRecursionTable, "extend", counted_extend)
+    monkeypatch.setattr(gaps.GapRecursionTable, "_repack", counted_repack)
+    for caller in callers:
+        caller()
+    tables = gaps._table_cache
+    assert sorted(tables) == list(indices)
+    assert grown == repacked == Counter(dict.fromkeys(tables, 1))
+    assert {i: t._width for i, t in tables.items()} == {
+        i: gaps._slot_bytes(t.k_max) for i, t in tables.items()}
 
 
 @pytest.mark.parametrize("line, argv", [
