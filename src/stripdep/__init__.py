@@ -25,6 +25,7 @@ from .gaps import (
     GapRecursionTable,
     TableBudgetError,
     abc_recursion,
+    build_gap_tables,
     gap_distribution,
     gap_moments,
     gap_pgf_table,

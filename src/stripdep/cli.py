@@ -34,7 +34,7 @@ from .ensemble import (
     EnsembleConfigError,
     run_ensemble,
 )
-from .gaps import TableBudgetError, gap_distribution, gap_moments, gap_pgf_table
+from .gaps import TableBudgetError, build_gap_tables, gap_distribution, gap_moments
 from .laws import SUITES
 from .oracle import (
     MAX_ENUMERATION_WIDTH,
@@ -42,7 +42,7 @@ from .oracle import (
     enumerate_gap_distribution,
     enumerate_root_distribution,
 )
-from .process import BoundaryMode
+from .process import BoundaryMode, _check_width
 from .ratpoly import RationalPolynomial, count_moments, fraction_string
 from .roots import root_layers
 
@@ -108,35 +108,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         help="key=value defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, runs=False, stats=False, width="substrate width (>= 3)"):
+    def common(p, width="substrate width (>= 3)"):
         p.add_argument("--K", type=int, help=width)
-        p.add_argument("--mode", choices=sorted(m.value for m in BoundaryMode), default="cyclic")
         p.add_argument("--out", metavar="PATH", help="write data here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if runs:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--runs", type=int, default=200_000)
-            p.add_argument("--threads", type=int, default=1)
-        if stats:
-            p.add_argument("--stat", action="append", choices=_STAT_CHOICES,
-                           help="statistic to collect (repeatable; default roots)")
-            p.add_argument("--i", action="append", type=int, default=None,
-                           help="gap length for gap statistics (repeatable)")
-            p.add_argument("--n-steps", type=int, default=0,
-                           help="deposits per run for height growth")
-            p.add_argument("--gnuplot", metavar="PREFIX",
-                           help="also write two-column histogram files")
+
+    def mode(p):
+        p.add_argument("--mode", choices=sorted(m.value for m in BoundaryMode), default="cyclic")
 
     p = sub.add_parser("simulate", help="run a Monte Carlo ensemble")
-    common(p, runs=True, stats=True)
+    common(p)
+    mode(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=int, default=200_000)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--stat", action="append", choices=_STAT_CHOICES,
+                   help="statistic to collect (repeatable; default roots)")
+    p.add_argument("--i", action="append", type=int, default=None,
+                   help="gap length for gap statistics (repeatable)")
+    p.add_argument("--n-steps", type=int, default=0,
+                   help="deposits per run for height growth")
+    p.add_argument("--gnuplot", metavar="PREFIX",
+                   help="also write two-column histogram files")
 
     p = sub.add_parser("exact-roots", help="exact root-count distributions")
     common(p, width="substrate width (>= 3; --mode aux also takes 0, 1 and 2, "
                     "which have no interior site and so no root)")
+    mode(p)
     p.add_argument("--kmax", type=int, help="compute all widths 3..kmax (kmax >= 3 in "
                                             "both modes); not with --K")
 
-    p = sub.add_parser("exact-gaps", help="exact gap-count distributions")
+    p = sub.add_parser("exact-gaps", help="exact gap-count distributions (cyclic process)")
     common(p)
     p.add_argument("--kmax", type=int, help="compute all widths 3..kmax; not with --K")
     p.add_argument("--i", action="append", type=int, default=None,
@@ -144,6 +146,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("oracle", help="enumeration distributions for small widths")
     common(p)
+    mode(p)
     p.add_argument("--i", action="append", type=int, default=None,
                    help="gap length (repeatable); omit for the root count")
 
@@ -278,13 +281,11 @@ def _cmd_exact_gaps(args) -> int:
     if min(lengths) < 1:
         raise EnsembleConfigError(f"gap lengths must be >= 1, got {lengths}")
     widths = _k_range(args)
+    _check_width(widths[0])
     for i in lengths:
         if i > widths[-1] - 1:
             raise EnsembleConfigError(f"gap length {i} out of range 1..{widths[-1] - 1}")
-    # one extend per table at the widest width, then range mode reads it,
-    # skipping the widths below i+1
-    for i in lengths:
-        gap_pgf_table(i, widths[-1] - 1)
+    build_gap_tables(lengths, widths[-1])
     results = [_exact_result(gap_moments(i, K), gap_distribution(i, K), i=i, K=K)
                for i in lengths for K in widths if i <= K - 1]
     config = {"engine": "exact-gaps", "i_values": lengths,

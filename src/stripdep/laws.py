@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise, zip_longest
 
-from .gaps import abc_degree, abc_recursion, gap_distribution, gap_moments, gap_pgf_table
+from .gaps import abc_degree, abc_recursion, build_gap_tables, gap_distribution, gap_moments
 from .oracle import (
     MAX_ENUMERATION_WIDTH,
     EnumerationLimitError,
@@ -89,8 +89,8 @@ def suite_gaps(kmax: int) -> list[Law]:
     unit = Law(f"unit-gap moment laws for K=4..{kg}")
     linear = {i: Law(f"gap-{i} linear moment laws for K=31..{kg}") for i in means if kg >= 31}
     identities = Law(f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}")
-    _build_tables([1, *linear], kg)
-    _build_tables(range(1, ki), ki)
+    build_gap_tables([1, *linear], kg)
+    build_gap_tables(range(1, ki), ki)
     for K in range(4, kg + 1):
         m = gap_moments(1, K)
         unit.check(K, (m.mean, m.variance), (Fraction(2, 3) if K == 4 else Fraction(2 * K, 15),
@@ -105,14 +105,6 @@ def suite_gaps(kmax: int) -> list[Law]:
                              sum((i * m for i, m in enumerate(gap_means, 1)), Fraction(0))),
                          (Fraction(K, 3), Fraction(2 * K, 3)))
     return [unit, *linear.values(), identities]
-
-
-def _build_tables(indices, widest: int) -> None:
-    """Build the gap tables of ``indices`` for every width up to ``widest``
-    in one extend each: reading widths upward instead would repack each
-    table as it grows and leave its slots up to twice the minimal width."""
-    for i in indices:
-        gap_pgf_table(i, widest - 1)
 
 
 # (scale, numerator ascending coefficients) with scale*(1-x)^2*E_i = numerator;
@@ -181,8 +173,8 @@ def suite_tables(kmax: int) -> list[Law]:
         Law(f"triple normalization and degree law for K=3..{kt}"),
         Law(f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}"),
         Law(f"cross-engine: insertion root engine equals first-step recursion for K=0..{kt}")]
-    _build_tables([1], kt + 1)
-    _build_tables(MEAN_SERIES_ROWS, ks)
+    build_gap_tables([1], kt + 1)
+    build_gap_tables(MEAN_SERIES_ROWS, ks)
     for t in abc_recursion(kt):
         if t.K in table1:
             *counts, den = table1[t.K]
@@ -215,7 +207,7 @@ def suite_tables(kmax: int) -> list[Law]:
 def suite_oracle(kmax: int) -> list[Law]:
     if kmax > MAX_ENUMERATION_WIDTH:
         raise EnumerationLimitError(kmax)
-    _build_tables(range(1, kmax), kmax)
+    build_gap_tables(range(1, kmax), kmax)
     laws = []
     for K in range(3, kmax + 1):
         cyclic, aux, gaps = width_laws = (

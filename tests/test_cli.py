@@ -525,29 +525,61 @@ def _exact_gaps_1_and_5():
      range(1, 25)),
 ], ids=["gaps", "tables", "oracle", "exact-gaps", "in-a-row"])
 def test_range_readers_build_each_gap_table_once_at_minimal_slots(monkeypatch, callers, indices):
-    # each caller asks for its widest width first, so no table is repacked
-    # past its first (empty) slot width or extended a second time
+    # each caller asks for its widest width first, so no table is built a
+    # second time for a wider read
     monkeypatch.setattr(gaps, "_table_cache", {})
-    grown, repacked = Counter(), Counter()
-    extend, repack = gaps.GapRecursionTable.extend, gaps.GapRecursionTable._repack
+    built = Counter()
+    init = gaps.GapRecursionTable.__init__
 
-    def counted_extend(table, k_max):
-        grown[table.i] += k_max > table.k_max
-        return extend(table, k_max)
+    def counted_init(table, i, k_max):
+        built[i] += 1
+        init(table, i, k_max)
 
-    def counted_repack(table, width):
-        repacked[table.i] += 1
-        repack(table, width)
-
-    monkeypatch.setattr(gaps.GapRecursionTable, "extend", counted_extend)
-    monkeypatch.setattr(gaps.GapRecursionTable, "_repack", counted_repack)
+    monkeypatch.setattr(gaps.GapRecursionTable, "__init__", counted_init)
     for caller in callers:
         caller()
     tables = gaps._table_cache
     assert sorted(tables) == list(indices)
-    assert grown == repacked == Counter(dict.fromkeys(tables, 1))
+    assert built == Counter(dict.fromkeys(tables, 1))
     assert {i: t._width for i, t in tables.items()} == {
         i: gaps._slot_bytes(t.k_max) for i, t in tables.items()}
+
+
+def test_a_failed_table_build_leaves_later_calls_exact(monkeypatch, capsys):
+    # one process: a wider build that hits the budget must not spoil the
+    # cached narrower table for the calls after it
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    assert run_cli(capsys, "exact-gaps", "--K", "11", "--i", "2")[0] == 0
+    budget = gaps.DEFAULT_COEFFICIENT_BUDGET
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", 340)
+    code, out, err = run_cli(capsys, "exact-gaps", "--K", "30", "--i", "2")
+    assert (code, out) == (3, "")
+    assert "state (l=0, r=1, k=16)" in err
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", budget)
+    warm = run_cli(capsys, "exact-gaps", "--K", "26", "--i", "2")[:2]
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    assert warm == run_cli(capsys, "exact-gaps", "--K", "26", "--i", "2")[:2]
+    assert warm[0] == 0
+
+
+def test_exact_gaps_has_no_mode(tmp_path, capsys):
+    # gap counts are defined for the cyclic process only
+    with pytest.raises(SystemExit) as exc:
+        main(["exact-gaps", "--K", "6", "--i", "2", "--mode", "aux"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode aux" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=aux\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "exact-gaps", "--K", "6", "--i", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: config key 'mode' does not apply to exact-gaps\n"
+
+
+@pytest.mark.parametrize("K", ["0", "1"])
+def test_exact_gaps_names_a_width_below_three(capsys, K):
+    code, out, err = run_cli(capsys, "exact-gaps", "--K", K)
+    assert (code, out) == (2, "")
+    assert err == f"error: substrate width must be >= 3, got {K}\n"
 
 
 @pytest.mark.parametrize("line, argv", [

@@ -17,7 +17,7 @@ from stripdep.gaps import (
     gap_moments,
     gap_pgf_table,
 )
-from stripdep.ratpoly import RationalPolynomial as P, pgf_moments
+from stripdep.ratpoly import RationalPolynomial as P, count_moments, pgf_moments
 
 U = P([0, 1])
 ONE = P([1])
@@ -149,19 +149,32 @@ def test_stored_counts_golden_digest_to_39():
         "a9f881dcdf82b74aea22a6b1984753c5cb124d86c09d61e5f5c330c39358d432")
 
 
-def test_table_grown_one_width_at_a_time_equals_one_built_at_once():
+def test_wider_request_caches_a_new_table_and_narrower_returns_it(monkeypatch):
+    monkeypatch.setattr(gaps, "_table_cache", {})
     for i in (1, 4):
-        grown = GapRecursionTable(i, 3)
-        widths = {grown._width}
-        for k in range(4, 31):
-            grown.extend(k)
-            widths.add(grown._width)
-        assert len(widths) >= 4            # the rows were repacked on the way
-        once = GapRecursionTable(i, 30)
-        assert grown.stored_counts() == once.stored_counts()
-        assert len(grown) == len(once)
-        assert all(grown.counts(l, r, 30) == once.counts(l, r, 30)
-                   for l in range(31) for r in range(31 - l))
+        narrow = gap_pgf_table(i, 12)
+        wide = gap_pgf_table(i, 30)
+        assert wide is not narrow and gaps._table_cache[i] is wide
+        assert (narrow.k_max, wide.k_max) == (12, 30)
+        assert wide.stored_counts() == GapRecursionTable(i, 30).stored_counts()
+        assert gap_pgf_table(i, 20) is wide and wide.k_max == 30
+
+
+def test_a_failed_build_leaves_the_cached_table_as_it_was(monkeypatch):
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    budget = gaps.DEFAULT_COEFFICIENT_BUDGET
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", 340)
+    gap_pgf_table(2, 10)
+    with pytest.raises(TableBudgetError) as err:
+        gap_pgf_table(2, 30)
+    assert err.value.state == (0, 1, 16)
+    monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", budget)
+    for K in (17, 20, 26):
+        fresh = GapRecursionTable(2, K - 1)
+        assert gap_moments(2, K) == count_moments(fresh.counts(0, 0, K - 1),
+                                                  math.factorial(K - 1))
+        cached = gaps._table_cache[2]
+        assert (cached.k_max, len(cached)) == (K - 1, len(fresh))
 
 
 def test_capped_table_entry_counts():
@@ -293,14 +306,3 @@ def test_sub_threshold_regression_values():
 
 def test_gap_distribution_regression_width8():
     assert gap_distribution(2, 8) == P([F(7, 15), F(8, 45), F(16, 45)])
-
-
-def test_table_extension_is_incremental():
-    t = GapRecursionTable(i=3, k_max=5)
-    before = len(t)
-    t.extend(8)
-    assert len(t) > before
-    assert t.entry(0, 0, 8).is_pgf()
-    # re-extending to a smaller bound is a no-op
-    t.extend(4)
-    assert t.k_max == 8
