@@ -149,13 +149,31 @@ def test_stored_counts_golden_digest_to_39():
         "a9f881dcdf82b74aea22a6b1984753c5cb124d86c09d61e5f5c330c39358d432")
 
 
-def test_wider_request_caches_a_new_table_and_narrower_returns_it(monkeypatch):
+def test_table_grown_one_width_at_a_time_equals_one_built_at_once(monkeypatch):
+    # the shared table asked for one width more at each step equals a table
+    # built at the last width directly
     monkeypatch.setattr(gaps, "_table_cache", {})
     for i in (1, 4):
+        for k in range(3, 31):
+            grown = gap_pgf_table(i, k)
+        once = GapRecursionTable(i, 30)
+        assert grown.stored_counts() == once.stored_counts()
+        assert len(grown) == len(once)
+        assert all(grown.counts(l, r, 30) == once.counts(l, r, 30)
+                   for l in range(31) for r in range(31 - l))
+
+
+def test_table_extension_is_incremental(monkeypatch):
+    # a wider request caches a new table; a narrower one returns the cached
+    # table with its k_max unchanged
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    for i in (1, 3, 4):
         narrow = gap_pgf_table(i, 12)
         wide = gap_pgf_table(i, 30)
         assert wide is not narrow and gaps._table_cache[i] is wide
         assert (narrow.k_max, wide.k_max) == (12, 30)
+        assert len(wide) > len(narrow)
+        assert wide.entry(0, 0, 30).is_pgf()
         assert wide.stored_counts() == GapRecursionTable(i, 30).stored_counts()
         assert gap_pgf_table(i, 20) is wide and wide.k_max == 30
 
