@@ -27,22 +27,13 @@ import json
 import sys
 import time
 
-from .ensemble import (
-    GENERATOR_ID,
-    VALID_STATISTICS,
-    EnsembleConfig,
-    EnsembleConfigError,
-    run_ensemble,
-)
+from .ensemble import GENERATOR_ID, VALID_STATISTICS, EnsembleConfig, run_ensemble
 from .gaps import TableBudgetError, build_gap_tables, gap_distribution, gap_moments
 from .laws import SUITES
-from .oracle import (
-    MAX_ENUMERATION_WIDTH,
-    EnumerationLimitError,
-    enumerate_gap_distribution,
-    enumerate_root_distribution,
-)
-from .process import BoundaryMode, _check_width
+from .oracle import (MAX_ENUMERATION_WIDTH, EnumerationLimitError, _check_enumeration_width,
+                     enumerate_gap_distribution, enumerate_root_distribution)
+from .process import (MIN_WIDTH, BoundaryMode, EnsembleConfigError, _check_cyclic,
+                      _check_gap_index, _check_width)
 from .ratpoly import RationalPolynomial, count_moments, fraction_string
 from .roots import root_layers
 
@@ -174,12 +165,17 @@ def _apply_config_file(path, command: str, subparsers: dict) -> None:
                 raise EnsembleConfigError(f"unknown config key {key!r}")
             raise EnsembleConfigError(f"config key {key!r} does not apply to {command}")
         repeatable = isinstance(action, argparse._AppendAction)
-        values = [(action.type or str)(v) for v in (raw.split(",") if repeatable else [raw])]
-        # defaults skip argparse's choices check, so make it here
-        for v in values:
-            if action.choices is not None and v not in action.choices:
+        values = []
+        # defaults skip argparse's type and choices checks, so make them here
+        for text in raw.split(",") if repeatable else [raw]:
+            try:
+                values.append((action.type or str)(text))
+            except ValueError:      # str never raises, so action.type is set
                 raise EnsembleConfigError(
-                    f"config key {key}: invalid choice {v!r} "
+                    f"config key {key}: invalid {action.type.__name__} value {text!r}") from None
+            if action.choices is not None and values[-1] not in action.choices:
+                raise EnsembleConfigError(
+                    f"config key {key}: invalid choice {values[-1]!r} "
                     f"(choose from {', '.join(action.choices)})")
         subparsers[command].set_defaults(**{action.dest: values if repeatable else values[0]})
 
@@ -233,8 +229,8 @@ def _cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 def _check_kmax(kmax: int) -> None:
-    if kmax < 3:
-        raise EnsembleConfigError(f"--kmax must be >= 3, got {kmax}")
+    if kmax < MIN_WIDTH:
+        raise EnsembleConfigError(f"--kmax must be >= {MIN_WIDTH}, got {kmax}")
 
 
 def _k_range(args) -> list[int]:
@@ -244,7 +240,7 @@ def _k_range(args) -> list[int]:
                                   f"give one width or one range")
     if args.kmax is not None:
         _check_kmax(args.kmax)
-        return list(range(3, args.kmax + 1))
+        return list(range(MIN_WIDTH, args.kmax + 1))
     if args.K is None:
         raise EnsembleConfigError("need --K or --kmax")
     return [args.K]
@@ -278,13 +274,10 @@ def _cmd_exact_roots(args) -> int:
 
 def _cmd_exact_gaps(args) -> int:
     lengths = list(dict.fromkeys(args.i or [1]))
-    if min(lengths) < 1:
-        raise EnsembleConfigError(f"gap lengths must be >= 1, got {lengths}")
     widths = _k_range(args)
     _check_width(widths[0])
     for i in lengths:
-        if i > widths[-1] - 1:
-            raise EnsembleConfigError(f"gap length {i} out of range 1..{widths[-1] - 1}")
+        _check_gap_index(i, widths[-1])
     build_gap_tables(lengths, widths[-1])
     results = [_exact_result(gap_moments(i, K), gap_distribution(i, K), i=i, K=K)
                for i in lengths for K in widths if i <= K - 1]
@@ -298,8 +291,8 @@ def _cmd_oracle(args) -> int:
     if args.K is None:
         raise EnsembleConfigError("oracle requires --K")
     mode = BoundaryMode(args.mode)
-    if args.i and mode is not BoundaryMode.CYCLIC:
-        raise EnsembleConfigError("gap statistics are defined for --mode cyclic only")
+    if args.i:
+        _check_cyclic(mode, "gap statistics")
     dists = ([enumerate_gap_distribution(args.K, i) for i in dict.fromkeys(args.i)] if args.i
              else [enumerate_root_distribution(args.K, mode)])
     config = {"engine": "oracle", "K": args.K, "mode": args.mode,
@@ -326,8 +319,8 @@ def _cmd_verify(args) -> int:
         if args.kmax < smallest:
             raise EnsembleConfigError(f"--suite {args.suite} needs --kmax >= {smallest}, "
                                       f"got {args.kmax}")
-        if "oracle" in names and args.kmax > MAX_ENUMERATION_WIDTH:
-            raise EnumerationLimitError(args.kmax)
+        if "oracle" in names:
+            _check_enumeration_width(args.kmax)
     lines = []
     failed = 0
     for name in names:

@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .process import MAX_STEPS, MIN_WIDTH, BoundaryMode, RootSet, _check_width, deposit
+from .process import (BoundaryMode, EnsembleConfigError, RootSet, _check_cyclic, _check_gap_index,
+                      _check_steps, _check_width, deposit)
 
 STAT_ROOTS = "roots"
 STAT_GAPS = "gaps"
@@ -66,10 +67,6 @@ BLOCK = 64
 GENERATOR_ID = f"numpy {np.__version__} PCG64 / SeedSequence(base_seed, spawn_key=(run,))"
 
 
-class EnsembleConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     K: int
@@ -91,8 +88,7 @@ class EnsembleConfig:
         # a repeated statistic or gap length is collected once
         object.__setattr__(self, "statistics", tuple(dict.fromkeys(self.statistics)))
         object.__setattr__(self, "gap_lengths", tuple(dict.fromkeys(self.gap_lengths)))
-        if self.K < MIN_WIDTH:
-            raise EnsembleConfigError(f"substrate width must be >= {MIN_WIDTH}, got {self.K}")
+        _check_width(self.K)
         if self.runs < 1:
             raise EnsembleConfigError(f"runs must be >= 1, got {self.runs}")
         if self.workers < 1:
@@ -104,23 +100,19 @@ class EnsembleConfig:
         unknown = [s for s in self.statistics if s not in VALID_STATISTICS]
         if unknown:
             raise EnsembleConfigError(f"unknown statistics {unknown}; valid: {VALID_STATISTICS}")
-        cyclic_only = [s for s in (STAT_GAPS, STAT_EMPIRICAL, STAT_GROWTH)
-                       if s in self.statistics]
-        if cyclic_only and self.mode is not BoundaryMode.CYCLIC:
-            raise EnsembleConfigError(f"statistics {cyclic_only} require cyclic mode")
+        cyclic_only = [s for s in (STAT_GAPS, STAT_EMPIRICAL, STAT_GROWTH) if s in self.statistics]
+        if cyclic_only:
+            _check_cyclic(self.mode, f"statistics {cyclic_only}")
         if STAT_GAPS in self.statistics:
             if not self.gap_lengths:
                 raise EnsembleConfigError("gap statistics need at least one gap length")
-            bad = [i for i in self.gap_lengths if not 1 <= i <= self.K - 1]
-            if bad:
-                raise EnsembleConfigError(f"gap lengths {bad} out of range 1..{self.K - 1}")
+            for i in self.gap_lengths:
+                _check_gap_index(i, self.K)
         elif self.gap_lengths:
             raise EnsembleConfigError(
                 f"gap lengths {list(self.gap_lengths)} need the {STAT_GAPS!r} statistic")
         if STAT_GROWTH in self.statistics:
-            if not 1 <= self.growth_steps <= MAX_STEPS:
-                raise EnsembleConfigError(
-                    f"growth statistic needs 1 <= growth_steps <= 2**40, got {self.growth_steps}")
+            _check_steps(self.growth_steps)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "mode": self.mode.value, "statistics": list(self.statistics),
@@ -135,8 +127,7 @@ def run_stream(base_seed: int, run_index: int) -> np.random.Generator:
 
 def empirical_gap_average(roots: RootSet) -> float:
     """Per-sample average gap length K/#roots - 1 (cyclic mode)."""
-    if roots.mode is not BoundaryMode.CYCLIC:
-        raise ValueError("empirical gap average is defined for the cyclic process")
+    _check_cyclic(roots.mode, "empirical gap average")
     if roots.card == 0:
         raise ValueError("empty root set")
     return roots.K / roots.card - 1.0
@@ -169,8 +160,7 @@ def height_growth_estimate(K: int, n_steps: int, rng: np.random.Generator) -> fl
     """max height / n after ``n_steps`` deposits of one cyclic run. Heights
     never decrease, so the largest height reached is the final maximum."""
     _check_width(K)
-    if not 1 <= n_steps <= MAX_STEPS:
-        raise ValueError(f"need 1 <= n_steps <= 2**40, got {n_steps}")
+    _check_steps(n_steps)
     heights = [0] * K
     for done in range(0, n_steps, 1 << 16):
         deposit(heights, rng.integers(0, K, size=min(n_steps - done, 1 << 16)).tolist())
@@ -202,8 +192,7 @@ def block_tallies(ranks: np.ndarray, mode: BoundaryMode,
     G = len(gap_lengths)
     if not G:
         return cards, np.zeros((B, 0), dtype=np.int64)
-    if mode is not BoundaryMode.CYCLIC:
-        raise ValueError("gap tallies are defined for the cyclic process only")
+    _check_cyclic(mode, "gap tallies")
     if not cards.all():
         raise ValueError("a row without roots: ranks must be permutations")
     # Root positions in the flat block run row by row, so each root's next

@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .process import MIN_WIDTH, _check_gap_index, _check_width
+from .process import _check_gap_index, _check_layer_width, _check_width
 from .ratpoly import (MomentSummary, RationalPolynomial, add_into, coefficient_product,
                       count_moments)
 
@@ -105,8 +105,7 @@ class GapRecursionTable:
     def __init__(self, i: int, k_max: int):
         if i < 1:
             raise ValueError(f"gap index must be >= 1, got {i}")
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
+        _check_layer_width(k_max)
         self.i = i
         self.k_max = k_max
         self._cap = cap = i + 1
@@ -243,8 +242,7 @@ def abc_recursion(k_max: int) -> list[AbcTriple]:
     K-1, K(K-1) on terms of width K-2 and K! on the source terms. These
     counts can be negative, so they are coefficient lists, not packed slots.
     """
-    if k_max < MIN_WIDTH:
-        raise ValueError(f"k_max must be >= {MIN_WIDTH}, got {k_max}")
+    _check_width(k_max)
     A: list[list[int]] = [[], [], []]
     B: list[list[int]] = [[], [], []]
     C: list[list[int]] = [[], [], []]

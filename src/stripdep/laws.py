@@ -9,12 +9,8 @@ from fractions import Fraction
 from itertools import accumulate, islice, pairwise, zip_longest
 
 from .gaps import abc_degree, abc_recursion, build_gap_tables, gap_distribution, gap_moments
-from .oracle import (
-    MAX_ENUMERATION_WIDTH,
-    EnumerationLimitError,
-    enumerate_gap_distribution,
-    enumerate_root_distribution,
-)
+from .oracle import (_check_enumeration_width, enumerate_gap_distribution,
+                     enumerate_root_distribution)
 from .process import BoundaryMode
 from .ratpoly import MomentSummary, RationalPolynomial, count_moments, fraction_string
 from .roots import (
@@ -205,8 +201,7 @@ def suite_tables(kmax: int) -> list[Law]:
 
 
 def suite_oracle(kmax: int) -> list[Law]:
-    if kmax > MAX_ENUMERATION_WIDTH:
-        raise EnumerationLimitError(kmax)
+    _check_enumeration_width(kmax)
     build_gap_tables(range(1, kmax), kmax)
     laws = []
     for K in range(3, kmax + 1):

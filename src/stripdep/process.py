@@ -17,6 +17,14 @@ reproduces their distribution without simulating heights;
 `roots_from_permutation` is that fast path and `simulate_final_roots` is the
 full-height reference path. `deposit` is the only height update: the
 reference path and the growth estimate in `stripdep.ensemble` both call it.
+
+Each of the model's six input rules has one check with one message: a ring
+has at least 3 sites, a gap index i is in 1..K-1, the exact recursions
+start at width 0, a growth run has 1..2**40 deposits, gaps and the gap
+average exist only on the cyclic process (the `_check_*` functions below),
+and the K! sweep is capped (`stripdep.oracle._check_enumeration_width`).
+The first five raise `EnsembleConfigError`, a `ValueError` and the CLI's
+exit-2 error; the cap raises `EnumerationLimitError`, its exit-3 guard.
 """
 
 from __future__ import annotations
@@ -40,15 +48,34 @@ class BoundaryMode(enum.Enum):
     AUXILIARY = "aux"
 
 
+class EnsembleConfigError(ValueError):
+    """A configuration or input the model does not define: the CLI's exit 2."""
+
+
 def _check_width(K: int) -> None:
     if K < MIN_WIDTH:
-        raise ValueError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
+        raise EnsembleConfigError(f"substrate width must be >= {MIN_WIDTH}, got {K}")
 
 
 def _check_gap_index(i: int, K: int) -> None:
     """A gap of index i spans i+1 sites of the ring, so 1 <= i <= K-1."""
     if not 1 <= i <= K - 1:
-        raise ValueError(f"gap index {i} out of range 1..{K - 1}")
+        raise EnsembleConfigError(f"gap index {i} out of range 1..{K - 1}")
+
+
+def _check_layer_width(n: int) -> None:
+    if n < 0:
+        raise EnsembleConfigError(f"width must be non-negative, got {n}")
+
+
+def _check_steps(n: int) -> None:
+    if not 1 <= n <= MAX_STEPS:
+        raise EnsembleConfigError(f"deposits per run must be in 1..2**40, got {n}")
+
+
+def _check_cyclic(mode: BoundaryMode, what: str) -> None:
+    if mode is not BoundaryMode.CYCLIC:
+        raise EnsembleConfigError(f"{what}: defined for the cyclic process only")
 
 
 @dataclass(frozen=True)
@@ -139,8 +166,7 @@ def first_hit_ranks(targets, K: int) -> FirstHitPermutation:
 
 def gap_vector(roots: RootSet) -> GapVector:
     """Gap counts between consecutive roots, including the wrap-around pair."""
-    if roots.mode is not BoundaryMode.CYCLIC:
-        raise ValueError("gap vector is defined for the cyclic process only")
+    _check_cyclic(roots.mode, "gap vector")
     if roots.card == 0:
         raise ValueError("cyclic root set cannot be empty")
     K = roots.K

@@ -55,7 +55,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 
-from .process import MIN_WIDTH, BoundaryMode, _check_width
+from .process import MIN_WIDTH, BoundaryMode, _check_layer_width, _check_width
 from .ratpoly import RationalPolynomial, add_into, coefficient_product
 
 # root_series_closed_form treats a denominator this small (relative to the
@@ -76,8 +76,7 @@ def _insert_largest(n: int, counts: tuple[int, ...]) -> tuple[int, ...]:
 
 def aux_root_layers(k_max: int) -> Iterator[tuple[int, ...]]:
     """W_0, W_1, ..., W_{k_max}, each layer built from the one before."""
-    if k_max < 0:
-        raise ValueError(f"width must be non-negative, got {k_max}")
+    _check_layer_width(k_max)
     counts = (1,)                                 # W_0 = W_1 = 1
     for n in range(k_max + 1):
         yield counts
@@ -118,8 +117,7 @@ def aux_root_pgf(K: int) -> RationalPolynomial:
 
 def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:
     """W_0..W_{k_max} from the paper's first-step recursion (the reference)."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    _check_layer_width(k_max)
     layers: list[list[int]] = [[1], [1]]
     for n in range(2, k_max + 1):
         acc = [2 * c for c in layers[n - 1]]

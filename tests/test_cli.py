@@ -8,12 +8,29 @@ from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripdep import gaps, laws
+from stripdep import (
+    BoundaryMode,
+    EnsembleConfig,
+    EnsembleConfigError,
+    EnumerationLimitError,
+    GapRecursionTable,
+    RootSet,
+    abc_recursion,
+    empirical_gap_average,
+    gap_moments,
+    gap_vector,
+    gaps,
+    height_growth_estimate,
+    laws,
+)
 from stripdep.cli import build_parser, main, parse_args
+from stripdep.ensemble import block_tallies
 from stripdep.ratpoly import RationalPolynomial
+from stripdep.roots import first_step_root_counts
 
 
 def run_cli(capsys, *argv):
@@ -188,7 +205,7 @@ def test_exact_gaps_range_rejects_length_beyond_every_width(capsys, argv):
     code, out, err = run_cli(capsys, "exact-gaps", *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: gap length 7 out of range 1..3\n"
+    assert err == "error: gap index 7 out of range 1..3\n"
 
 
 def test_oracle_json(capsys):
@@ -594,6 +611,80 @@ def test_config_file_value_outside_choices_exits_2(tmp_path, capsys, line, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "invalid choice" in err
+
+
+@pytest.mark.parametrize("line, argv, key", [
+    ("runs=x", ("simulate", "--K", "5"), "runs"),
+    ("i=1,x", ("exact-gaps", "--K", "5"), "i"),
+])
+def test_config_file_value_of_the_wrong_type_names_its_key(tmp_path, capsys, line, argv, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (code, out, err) == (2, "", f"error: config key {key}: invalid int value 'x'\n")
+
+
+_GAP_INDEX = "gap index 5 out of range 1..4"
+_STEPS = "deposits per run must be in 1..2**40, got 0"
+_LAYER_WIDTH = "width must be non-negative, got -1"
+_WIDTH = "substrate width must be >= 3, got 2"
+_CYCLIC = "{}: defined for the cyclic process only"
+_CAP = "enumeration over K! first-hit orders is capped at K = 10 (requested K = 11)"
+_AUX_ROOTS = RootSet(K=5, mode=BoundaryMode.AUXILIARY, roots=(2, 4))
+
+
+@pytest.mark.parametrize("message, entry", [
+    pytest.param(_GAP_INDEX, ("simulate", "--K", "5", "--runs", "3", "--stat", "gaps",
+                              "--i", "5"), id="gap-index-simulate"),
+    pytest.param(_GAP_INDEX, ("exact-gaps", "--K", "5", "--i", "5"),
+                 id="gap-index-exact-gaps"),
+    pytest.param("gap index 0 out of range 1..4", ("exact-gaps", "--kmax", "5", "--i", "0"),
+                 id="gap-index-exact-gaps-range"),
+    pytest.param(_GAP_INDEX, ("oracle", "--K", "5", "--i", "5"), id="gap-index-oracle"),
+    pytest.param(_GAP_INDEX, lambda: EnsembleConfig(K=5, statistics=("gaps",), gap_lengths=(5,)),
+                 id="gap-index-EnsembleConfig"),
+    pytest.param(_GAP_INDEX, lambda: gap_moments(5, 5), id="gap-index-gap_moments"),
+    pytest.param(_STEPS, ("simulate", "--K", "10", "--runs", "3", "--stat", "height-growth",
+                          "--n-steps", "0"), id="steps-simulate"),
+    pytest.param(_STEPS, lambda: height_growth_estimate(10, 0, np.random.default_rng(0)),
+                 id="steps-height_growth_estimate"),
+    pytest.param(_LAYER_WIDTH, ("exact-roots", "--mode", "aux", "--K", "-1"),
+                 id="layer-width-exact-roots"),
+    pytest.param(_LAYER_WIDTH, lambda: first_step_root_counts(-1),
+                 id="layer-width-first_step_root_counts"),
+    pytest.param(_LAYER_WIDTH, lambda: GapRecursionTable(1, -1),
+                 id="layer-width-GapRecursionTable"),
+    pytest.param(_WIDTH, ("simulate", "--K", "2"), id="width-simulate"),
+    pytest.param(_WIDTH, lambda: abc_recursion(2), id="width-abc_recursion"),
+    pytest.param(_WIDTH, lambda: EnsembleConfig(K=2), id="width-EnsembleConfig"),
+    pytest.param(_CYCLIC.format("statistics ['gaps']"),
+                 ("simulate", "--K", "5", "--runs", "3", "--mode", "aux", "--stat", "gaps",
+                  "--i", "1"), id="cyclic-simulate"),
+    pytest.param(_CYCLIC.format("gap statistics"),
+                 ("oracle", "--K", "5", "--mode", "aux", "--i", "1"), id="cyclic-oracle"),
+    pytest.param(_CYCLIC.format("gap tallies"),
+                 lambda: block_tallies(np.arange(5).reshape(1, 5), BoundaryMode.AUXILIARY, (1,)),
+                 id="cyclic-block_tallies"),
+    pytest.param(_CYCLIC.format("gap vector"), lambda: gap_vector(_AUX_ROOTS),
+                 id="cyclic-gap_vector"),
+    pytest.param(_CYCLIC.format("empirical gap average"),
+                 lambda: empirical_gap_average(_AUX_ROOTS), id="cyclic-empirical_gap_average"),
+    pytest.param(_CAP, ("oracle", "--K", "11"), id="cap-oracle"),
+    pytest.param(_CAP, ("verify", "--suite", "oracle", "--kmax", "11"), id="cap-verify"),
+    pytest.param(_CAP, lambda: laws.suite_oracle(11), id="cap-suite_oracle"),
+])
+def test_each_input_rule_has_one_message_at_every_entry_point(capsys, message, entry):
+    # the K! cap is a resource guard (exit 3); every other rule is a
+    # configuration error (exit 2)
+    capped = message == _CAP
+    if callable(entry):
+        with pytest.raises(EnumerationLimitError if capped else EnsembleConfigError) as exc:
+            entry()
+        assert str(exc.value) == message
+    else:
+        code, out, err = run_cli(capsys, *entry)
+        prefix = "resource guard" if capped else "error"
+        assert (code, out, err) == (3 if capped else 2, "", f"{prefix}: {message}\n")
 
 
 # config key -> (values it may take, parser default)
