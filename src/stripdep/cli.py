@@ -15,7 +15,8 @@ outputs are byte-identical for identical configurations. Exact quantities
 are printed as "num/den" strings by stripdep.ratpoly.fraction_string, never
 floats; the cyclic/auxiliary root relation lives in stripdep.roots alone.
 Exit codes: 0 success, 1 verify found a failing check, 2 configuration/usage
-error, 3 resource guard triggered.
+error, 3 resource guard triggered or memory exhausted. An --out or --gnuplot
+path that cannot be written exits 2 before any work is done.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
+from functools import cache
 
 from .ensemble import GENERATOR_ID, VALID_STATISTICS, EnsembleConfig, run_ensemble
 from .gaps import TableBudgetError, build_gap_tables, gap_distribution, gap_moments
@@ -45,33 +48,40 @@ EXIT_RESOURCE = 3
 _STAT_CHOICES = sorted(s.replace("_", "-") for s in VALID_STATISTICS)
 
 
-def _open_out(path: str):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise EnsembleConfigError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
+def _write(text: str, out: str | None, mode: str = "w") -> None:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EnsembleConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _check_out(path: str) -> None:
+    """Fail as writing ``path`` would, before any work is done. Appending
+    nothing truncates no existing file, and a file the check made is removed."""
+    made = not os.path.lexists(path)
+    _write("", path, "a")
+    if made:
+        os.remove(path)
 
 
-def _csv_text(header, rows, config: dict) -> str:
+def _write_data(args, config: dict, payload, header: tuple[str, ...], rows) -> None:
+    """Write data in ``--format`` to ``--out`` or stdout: the JSON of
+    ``payload()``, or "# key=value" lines of ``config``, then ``header`` and
+    ``rows()`` as CSV. Only the format asked for is built."""
+    if args.format == "json":
+        _write(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out)
+        return
     buf = io.StringIO()
     for key, value in sorted(config.items()):
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows(rows())
+    _write(buf.getvalue(), args.out)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -198,29 +208,24 @@ def _cmd_simulate(args) -> int:
         growth_steps=args.n_steps,
         workers=args.threads,
     )
+    columns = {(s if i is None else f"gaps_{i}"): (s, i) for s, i in cfg.columns()}
+    gnuplot = {name: f"{args.gnuplot}{name}.dat" for name in columns} if args.gnuplot else {}
+    for path in gnuplot.values():
+        _check_out(path)
     stats = run_ensemble(cfg)
     print(f"simulated {cfg.runs} runs of K={cfg.K} in {stats.runtime_seconds:.2f}s",
           file=sys.stderr)
 
-    if args.format == "csv" or args.gnuplot:
-        series = {(s if i is None else f"gaps_{i}"): stats.histogram_series(s, i)
-                  for s, i in stats.columns()}
-    if args.format == "json":
-        payload = stats.summary_dict()
-        payload["seed"] = cfg.base_seed
-        _write(_json_text(payload), args.out)
-    else:
-        rows = [(name, b, c) for name, pairs in series.items() for b, c in pairs]
-        _write(_csv_text(("statistic", "bin", "count"), rows,
-                         {**cfg.to_json_dict(), "generator": GENERATOR_ID}), args.out)
-    if args.gnuplot:
-        for name, pairs in series.items():
-            path = f"{args.gnuplot}{name}.dat"
-            with _open_out(path) as fh:
-                fh.write(f"# {json.dumps(cfg.to_json_dict(), sort_keys=True)}\n")
-                for b, c in pairs:
-                    fh.write(f"{b} {c}\n")
-            print(f"wrote {path}", file=sys.stderr)
+    series = cache(lambda: {name: stats.histogram_series(*column)
+                            for name, column in columns.items()})
+    _write_data(args, {**cfg.to_json_dict(), "generator": GENERATOR_ID},
+                lambda: {**stats.summary_dict(), "seed": cfg.base_seed},
+                ("statistic", "bin", "count"),
+                lambda: [(name, b, c) for name, pairs in series().items() for b, c in pairs])
+    for name, path in gnuplot.items():
+        _write(f"# {json.dumps(cfg.to_json_dict(), sort_keys=True)}\n"
+               + "".join(f"{b} {c}\n" for b, c in series()[name]), path)
+        print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -252,12 +257,10 @@ def _exact_result(m, pgf, **keys) -> dict:
 
 
 def _write_exact(args, config: dict, results: list[dict], keys: tuple[str, ...]) -> None:
-    if args.format == "json":
-        _write(_json_text({"config": config, "results": results}), args.out)
-    else:
-        rows = [(*(r[k] for k in keys), r["mean"], r["variance"], ";".join(r["coefficients"]))
-                for r in results]
-        _write(_csv_text((*keys, "mean", "variance", "coefficients"), rows, config), args.out)
+    _write_data(args, config, lambda: {"config": config, "results": results},
+                (*keys, "mean", "variance", "coefficients"),
+                lambda: [(*(r[k] for k in keys), r["mean"], r["variance"],
+                          ";".join(r["coefficients"])) for r in results])
 
 
 def _cmd_exact_roots(args) -> int:
@@ -297,13 +300,11 @@ def _cmd_oracle(args) -> int:
              else [enumerate_root_distribution(args.K, mode)])
     config = {"engine": "oracle", "K": args.K, "mode": args.mode,
               "max_width": MAX_ENUMERATION_WIDTH}
-    payload = {"config": config, "results": [d.to_json_dict() for d in dists]}
-    if args.format == "json":
-        _write(_json_text(payload), args.out)
-    else:
-        rows = [(f"gaps[{d.i}]" if d.i is not None else "roots", v, fraction_string(p))
-                for d in dists for v, p in sorted(d.support.items())]
-        _write(_csv_text(("statistic", "value", "probability"), rows, config), args.out)
+    _write_data(args, config,
+                lambda: {"config": config, "results": [d.to_json_dict() for d in dists]},
+                ("statistic", "value", "probability"),
+                lambda: [(f"gaps[{d.i}]" if d.i is not None else "roots", v, fraction_string(p))
+                         for d in dists for v, p in sorted(d.support.items())])
     return EXIT_OK
 
 
@@ -364,11 +365,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnumerationLimitError, TableBudgetError) as exc:
+    except (EnumerationLimitError, TableBudgetError, MemoryError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

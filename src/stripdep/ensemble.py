@@ -114,6 +114,13 @@ class EnsembleConfig:
         if STAT_GROWTH in self.statistics:
             _check_steps(self.growth_steps)
 
+    def columns(self) -> list[tuple[str, int | None]]:
+        """The ``(statistic, i)`` of each reported column, in configuration
+        order: each statistic, and each gap length for gaps (``i`` is None
+        for the others)."""
+        return [(s, i) for s in self.statistics
+                for i in (self.gap_lengths if s == STAT_GAPS else (None,))]
+
     def to_json_dict(self) -> dict:
         return {**asdict(self), "mode": self.mode.value, "statistics": list(self.statistics),
                 "gap_lengths": list(self.gap_lengths)}
@@ -142,18 +149,11 @@ def normalized_ks_statistic(samples, mean: float, sd: float) -> float:
     if not np.isfinite(sd) or sd <= 0:
         raise ValueError(f"standard deviation must be positive and finite, got {sd}")
     from scipy.special import ndtr     # scipy costs most of this module's import time
-    # worked in place, so that at most four arrays of the sample size are live
-    z = arr - mean
-    z /= sd
-    z.sort()
+    z = np.sort((arr - mean) / sd)
     cdf = ndtr(z)
     n = z.size
-    steps = np.arange(1, n + 1, dtype=np.float64)
-    steps /= n
-    d_plus = float(np.max(np.subtract(steps, cdf, out=z)))
-    steps -= 1.0 / n
-    d_minus = float(np.max(np.subtract(cdf, steps, out=z)))
-    return max(d_plus, d_minus)
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
 
 
 def height_growth_estimate(K: int, n_steps: int, rng: np.random.Generator) -> float:
@@ -277,7 +277,8 @@ class EnsembleStats:
         self.runtime_seconds: float | None = None
 
     def _per_run(self, statistic: str, i: int | None) -> np.ndarray:
-        """One statistic's value for each run, in run order."""
+        """One statistic's value for each run, in run order: int32 for the
+        counts (roots, gaps), float64 for the others, which the readers go by."""
         if statistic not in self.config.statistics:
             raise KeyError(f"{statistic} is not collected in this ensemble")
         if statistic == STAT_ROOTS:
@@ -293,33 +294,30 @@ class EnsembleStats:
     def samples(self, statistic: str, i: int | None = None) -> np.ndarray:
         """Real statistics in run order; integer ones sorted, as float64."""
         values = self._per_run(statistic, i)
-        if statistic in (STAT_ROOTS, STAT_GAPS):
+        if values.dtype.kind == "i":
             values = values.astype(np.float64)
             values.sort()
         return values
 
-    def _power_sums(self, statistic: str, i: int | None) -> tuple[int, int, int]:
-        """(n, sum v, sum v^2) of an integer statistic, summed over its
-        histogram in Python integers, which cannot overflow."""
+    def _moments(self, statistic: str, i: int | None) -> tuple[float, float]:
+        """Mean and unbiased sample variance (0.0 below two samples). Integer
+        statistics are summed over their histogram in Python integers, which
+        cannot overflow."""
+        values = self._per_run(statistic, i)
+        n = len(values)
+        if values.dtype.kind != "i":
+            return float(np.mean(values)), (float(np.var(values, ddof=1)) if n > 1 else 0.0)
         hist = self.histogram(statistic, i)
-        return (sum(hist.values()), sum(v * c for v, c in hist.items()),
-                sum(v * v * c for v, c in hist.items()))
+        s1 = sum(v * c for v, c in hist.items())
+        s2 = sum(v * v * c for v, c in hist.items())
+        return s1 / n, ((s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0)
 
     def mean(self, statistic: str, i: int | None = None) -> float:
-        if statistic in (STAT_ROOTS, STAT_GAPS):
-            n, s1, _ = self._power_sums(statistic, i)
-            return s1 / n
-        return float(np.mean(self.samples(statistic)))
+        return self._moments(statistic, i)[0]
 
     def variance(self, statistic: str, i: int | None = None) -> float:
         """Unbiased sample variance; 0.0 below two samples."""
-        if statistic in (STAT_ROOTS, STAT_GAPS):
-            n, s1, s2 = self._power_sums(statistic, i)
-            if n < 2:
-                return 0.0
-            return (s2 - s1 * s1 / n) / (n - 1)
-        samples = self.samples(statistic)
-        return float(np.var(samples, ddof=1)) if len(samples) > 1 else 0.0
+        return self._moments(statistic, i)[1]
 
     def ks_normal(self, statistic: str, i: int | None = None) -> float:
         samples = self.samples(statistic, i)
@@ -330,21 +328,22 @@ class EnsembleStats:
         """Integer statistics: {value: count} over the observed range.
         Real statistics: (bin_edges, counts) with 200 uniform bins over
         mean +/- 5 sample standard deviations."""
-        if statistic in (STAT_ROOTS, STAT_GAPS):
-            values, counts = np.unique(self._per_run(statistic, i), return_counts=True)
+        values = self._per_run(statistic, i)
+        if values.dtype.kind == "i":
+            values, counts = np.unique(values, return_counts=True)
             return dict(zip(values.tolist(), counts.tolist()))
-        sd = math.sqrt(self.variance(statistic)) or 1.0
-        samples = self.samples(statistic)
-        m = float(np.mean(samples))
-        counts, edges = np.histogram(samples, bins=200, range=(m - 5 * sd, m + 5 * sd))
+        m, var = self._moments(statistic, i)
+        sd = math.sqrt(var) or 1.0
+        counts, edges = np.histogram(values, bins=200, range=(m - 5 * sd, m + 5 * sd))
         return edges, counts
 
     def histogram_series(self, statistic: str, i: int | None = None) -> list[tuple]:
         """Histogram as (bin, count) pairs: sorted (value, count) for integer
         statistics, (bin centre formatted with ".10g", count) for real ones."""
-        if statistic in (STAT_ROOTS, STAT_GAPS):
-            return list(self.histogram(statistic, i).items())
-        edges, counts = self.histogram(statistic)
+        hist = self.histogram(statistic, i)
+        if isinstance(hist, dict):
+            return list(hist.items())
+        edges, counts = hist
         centers = (edges[:-1] + edges[1:]) / 2
         return [(format(b, ".10g"), int(c)) for b, c in zip(centers, counts)]
 
@@ -363,18 +362,15 @@ class EnsembleStats:
                 fh.write(f"{label},{b},{c}\n")
 
     def columns(self) -> list[tuple[str, int | None]]:
-        """The ``(statistic, i)`` of each reported column, in configuration
-        order: each statistic, and each gap length for gaps (``i`` is None
-        for the others)."""
-        return [(s, i) for s in self.config.statistics
-                for i in (self.config.gap_lengths if s == STAT_GAPS else (None,))]
+        return self.config.columns()
 
     def summary_dict(self) -> dict:
         """Self-describing summary (deterministic for a fixed config)."""
         stats: dict[str, dict] = {}
         for s, i in self.columns():
-            e = {"mean": self.mean(s, i), "variance": self.variance(s, i)}
-            if self.config.runs > 1 and e["variance"] > 0:
+            mean, variance = self._moments(s, i)
+            e = {"mean": mean, "variance": variance}
+            if variance > 0:
                 e["ks_normal"] = self.ks_normal(s, i)
             stats[s if i is None else f"gaps[{i}]"] = e
         return {

@@ -519,6 +519,84 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "cannot write" in err
 
 
+# a (64, K) int32 block at this width is 233 TiB, past any user address
+# space, so the allocation fails at once whatever the overcommit setting
+_UNALLOCATABLE_K = "1000000000000"
+
+
+@pytest.mark.parametrize("flag, target, reason", [
+    pytest.param("--out", "", "Is a directory", id="out-directory"),
+    pytest.param("--gnuplot", "missing/dir/h", "No such file or directory", id="gnuplot-missing"),
+])
+def test_an_unwritable_output_path_fails_before_the_ensemble_runs(tmp_path, capsys, flag,
+                                                                  target, reason):
+    path = str(tmp_path / target) if target else str(tmp_path)
+    written = path + "roots.dat" if flag == "--gnuplot" else path
+    code, out, err = run_cli(capsys, "simulate", "--K", "10", "--runs", "5", flag, path)
+    assert (code, out, err) == (2, "", f"error: cannot write {written}: {reason}\n")
+
+
+def test_output_checks_keep_existing_files_and_leave_no_new_one(tmp_path, capsys):
+    (tmp_path / "old.json").write_text("kept\n")
+    (tmp_path / "h_gaps_1.dat").write_text("kept\n")
+    code, out, err = run_cli(capsys, "simulate", "--K", _UNALLOCATABLE_K, "--runs", "1",
+                             "--stat", "roots", "--stat", "gaps", "--i", "1",
+                             "--out", str(tmp_path / "old.json"),
+                             "--gnuplot", str(tmp_path / "h_"))
+    assert (code, out) == (3, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h_gaps_1.dat", "old.json"]
+    assert {p.read_text() for p in tmp_path.iterdir()} == {"kept\n"}
+    code, out, err = run_cli(capsys, "exact-roots", "--K", "2", "--out", str(tmp_path / "new"))
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "new").exists()
+
+
+def test_an_allocation_failure_exits_3(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--K", _UNALLOCATABLE_K, "--runs", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource guard: Unable to allocate ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    (("simulate", "--runs", "5"), "simulate requires --K"),
+    (("oracle",), "oracle requires --K"),
+    (("exact-roots",), "need --K or --kmax"),
+    (("--config", "{cfg}", "simulate"), "{cfg}:1: expected key=value, got 'runs'"),
+    (lambda: EnsembleConfig(K=5, statistics=()), "at least one statistic is required"),
+])
+def test_each_usage_error_prints_its_line(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("runs\n")
+    message = message.format(cfg=cfg)
+    if callable(entry):
+        with pytest.raises(EnsembleConfigError) as exc:
+            entry()
+        assert str(exc.value) == message
+    else:
+        argv = [a.format(cfg=cfg) for a in entry]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+_SIMULATE = ("simulate", "--K", "12", "--runs", "60", "--seed", "4",
+             "--stat", "roots", "--stat", "gaps", "--i", "1", "--stat", "empirical-gap-average")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_SIMULATE, id="simulate-json"),
+    pytest.param((*_SIMULATE, "--format", "csv"), id="simulate-csv"),
+    pytest.param(("exact-roots", "--kmax", "6", "--format", "csv"), id="exact-roots"),
+    pytest.param(("exact-gaps", "--K", "8", "--i", "2"), id="exact-gaps"),
+    pytest.param(("oracle", "--K", "5", "--i", "1", "--format", "csv"), id="oracle"),
+    pytest.param(("verify", "--suite", "roots", "--kmax", "5"), id="verify"),
+])
+def test_out_gets_the_bytes_stdout_would_get(tmp_path, capsys, argv):
+    code, expected, _ = run_cli(capsys, *argv)
+    path = tmp_path / "data"
+    assert run_cli(capsys, *argv, "--out", str(path))[:2] == (code, "")
+    assert code == 0 and expected
+    assert path.read_bytes() == expected.encode()
+
+
 def test_gap_table_budget_guard_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(gaps, "DEFAULT_COEFFICIENT_BUDGET", 10)
     monkeypatch.setattr(gaps, "_table_cache", {})
