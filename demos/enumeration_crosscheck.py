@@ -15,6 +15,7 @@ from stripdep import (
     enumerate_gap_distribution,
     enumerate_root_distribution,
     gap_distribution,
+    pgf_moments,
 )
 
 KMAX = 8   # K! orders per width; 8! = 40,320 keeps this instant
@@ -35,4 +36,5 @@ print()
 print("Root-count support grows like K/2; probabilities are exact rationals")
 print("with denominators dividing K!.")
 d = enumerate_root_distribution(8, BoundaryMode.CYCLIC)
-print(f"mean at K=8: {d.mean()}  (= 8/3)   variance: {d.variance()}")
+m = pgf_moments(d.pgf())
+print(f"mean at K=8: {m.mean}  (= 8/3)   variance: {m.variance}")

@@ -40,7 +40,7 @@ print("(width 4 is the lone exception at 2/9, width 3 is deterministic)")
 print()
 print("No-root probability of the pinned-boundary process: 2^(K-1)/K!")
 for K in (3, 6, 9):
-    print(f"  K={K}: {aux_root_pgf(K).coefficient(0)}")
+    print(f"  K={K}: {aux_root_pgf(K).coefficients[0]}")
 
 print()
 print("Series closed form vs truncated exact series at (x, z) = (0.3, 1.2)")

@@ -18,21 +18,23 @@ gap lengths of the whole block with a few numpy calls.
 independent per-run reference that the tests compare the kernel against.
 
 Runs are simulated in chunks of consecutive runs, one after another or on
-a pool of ``workers`` processes, and merged in run order. `chunk_plan`
-sizes the chunks by work, counting runs and deposits, so that an ensemble
-of a few long height-growth runs still spreads over the workers.
+a pool of ``workers`` processes, and merged in run order. No more
+processes start than there are chunks or CPUs. `chunk_plan` sizes the
+chunks by work, counting runs and deposits, so that an ensemble of a few
+long height-growth runs still spreads over the workers.
 
 An ensemble keeps its per-run results in run order and nothing else: the
 root counts (int32), one int32 column of gap counts per gap length, and the
 height-growth samples (float64). Histograms, moments and the empirical gap
 average ``K / roots - 1`` are all read from these arrays, so the store costs
 ``4 * (1 + G)`` bytes per run for ``G`` gap lengths, plus 8 per run with
-height growth.
+height growth. The arrays are read-only, so no reader can change them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -274,6 +276,8 @@ class EnsembleStats:
         self.root_counts = np.concatenate(cards)
         self.gap_counts = np.concatenate(gaps)
         self.growth_samples = np.concatenate(growth)
+        for store in (self.root_counts, self.gap_counts, self.growth_samples):
+            store.flags.writeable = False
         self.runtime_seconds: float | None = None
 
     def _per_run(self, statistic: str, i: int | None) -> np.ndarray:
@@ -361,13 +365,10 @@ class EnsembleStats:
             for b, c in series:
                 fh.write(f"{label},{b},{c}\n")
 
-    def columns(self) -> list[tuple[str, int | None]]:
-        return self.config.columns()
-
     def summary_dict(self) -> dict:
         """Self-describing summary (deterministic for a fixed config)."""
         stats: dict[str, dict] = {}
-        for s, i in self.columns():
+        for s, i in self.config.columns():
             mean, variance = self._moments(s, i)
             e = {"mean": mean, "variance": variance}
             if variance > 0:
@@ -384,7 +385,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Run the configured ensemble; bitwise reproducible for fixed config."""
     started = time.perf_counter()
     starts, stops = zip(*chunk_plan(cfg))
-    workers = min(cfg.workers, len(starts))
+    workers = min(cfg.workers, len(starts), os.cpu_count() or 1)
     if workers == 1:
         stats = EnsembleStats(cfg, map(_simulate_chunk, repeat(cfg), starts, stops))
     else:

@@ -71,14 +71,6 @@ class ExactDistribution:
         if any(p < 0 for p in self.support.values()):
             raise ValueError("negative probability")
 
-    def mean(self) -> Fraction:
-        return sum((Fraction(v) * p for v, p in self.support.items()), Fraction(0))
-
-    def variance(self) -> Fraction:
-        m = self.mean()
-        second = sum((Fraction(v * v) * p for v, p in self.support.items()), Fraction(0))
-        return second - m * m
-
     def pgf(self) -> RationalPolynomial:
         coeffs = [Fraction(0)] * (max(self.support) + 1 if self.support else 1)
         for v, p in self.support.items():

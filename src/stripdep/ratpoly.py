@@ -76,11 +76,6 @@ class RationalPolynomial:
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -92,8 +87,6 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPolynomial):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == RationalPolynomial((other,))._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -111,12 +104,9 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def sum_of_coefficients(self) -> Fraction:
-        return sum(self._coeffs, Fraction(0))
-
     def is_pgf(self) -> bool:
         """True when coefficients are a probability vector (sum 1, all >= 0)."""
-        return all(c >= 0 for c in self._coeffs) and self.sum_of_coefficients() == 1
+        return all(c >= 0 for c in self._coeffs) and self(1) == 1
 
     def fraction_strings(self) -> list[str]:
         """Coefficients as "num/den" strings."""
@@ -133,10 +123,6 @@ class MomentSummary:
     mean: Fraction
     variance: Fraction
     second_factorial_moment: Fraction
-
-    def __post_init__(self):
-        if self.variance != self.second_factorial_moment + self.mean - self.mean**2:
-            raise ValueError("inconsistent moment summary")
 
 
 def count_moments(counts, total) -> MomentSummary:

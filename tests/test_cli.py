@@ -364,6 +364,18 @@ def test_verify_oracle_names_the_failing_gap_index(monkeypatch, capsys):
     assert out.endswith("FAILED: 1 failing check(s)\n")
 
 
+def test_verify_tables_names_a_missing_reference_layer(monkeypatch, capsys):
+    # the first-step recursion stops one layer short of the insertion engine
+    reference = laws.first_step_root_counts
+    monkeypatch.setattr(laws, "first_step_root_counts", lambda k: reference(k)[:-1])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "8")
+    assert code == 1
+    assert ("FAIL: [tables] cross-engine: insertion root engine equals first-step recursion "
+            "for K=0..8 (K=8: found (128/1, 7680/1, 24576/1, 7936/1), expected None)"
+            ) in out.splitlines()
+    assert out.endswith("FAILED: 1 failing check(s)\n")
+
+
 def test_oracle_gap_statistics_reject_aux_mode(capsys):
     code, out, err = run_cli(capsys, "oracle", "--K", "5", "--mode", "aux", "--i", "1")
     assert code == 2
@@ -432,9 +444,11 @@ def test_config_file_applies_to_the_chosen_subcommand_only(tmp_path, capsys):
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("K=5\nformat=json\n")
+    # comment and blank lines are skipped, and keys and values are stripped
+    cfg.write_text("# defaults\n\n  K = 5  \nformat=json\n")
     code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots")
     assert code == 0
+    assert out == run_cli(capsys, "exact-roots", "--K", "5")[1]
     assert json.loads(out)["results"][0]["K"] == 5
     code, out, _ = run_cli(capsys, "--config", str(cfg), "exact-roots", "--K", "7")
     assert code == 0

@@ -87,7 +87,7 @@ def test_config_collects_a_repeated_statistic_or_gap_length_once():
 def test_columns_keep_configuration_order():
     stats = run_ensemble(EnsembleConfig(K=8, runs=20, statistics=("gaps", "roots"),
                                         gap_lengths=(3, 1)))
-    assert stats.columns() == [("gaps", 3), ("gaps", 1), ("roots", None)]
+    assert stats.config.columns() == [("gaps", 3), ("gaps", 1), ("roots", None)]
     assert list(stats.summary_dict()["statistics"]) == ["gaps[3]", "gaps[1]", "roots"]
 
 
@@ -173,9 +173,9 @@ def test_mixed_ensemble_over_several_chunks_ignores_workers_and_plan():
         assert np.array_equal(stats.growth_samples, one_chunk[2])
 
 
-@pytest.mark.parametrize("workers, chunks, pool_size", [(1, 3, None), (8, 1, None),
-                                                        (8, 3, 3), (2, 3, 2)])
-def test_pool_has_no_more_processes_than_chunks(monkeypatch, workers, chunks, pool_size):
+def _run_on_fake_pool(monkeypatch, workers, chunks, cpus, pool_size):
+    """Run `chunks` one-run chunks on `workers` with `cpus` CPUs, on a pool
+    that maps in this process, and check the pool size it was asked for."""
     sizes = []
 
     class Pool:                     # records its size and maps in this process
@@ -193,9 +193,33 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch, workers, chunks, po
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(ensemble, "chunk_plan", lambda cfg: [(j, j + 1) for j in range(cfg.runs)])
+    monkeypatch.setattr(ensemble.os, "cpu_count", lambda: cpus)
     stats = run_ensemble(EnsembleConfig(K=5, runs=chunks, base_seed=2, workers=workers))
     assert sizes == ([] if pool_size is None else [pool_size])
     assert stats.root_counts.shape == (chunks,)
+
+
+@pytest.mark.parametrize("workers, chunks, pool_size", [(1, 3, None), (8, 1, None),
+                                                        (8, 3, 3), (2, 3, 2)])
+def test_pool_has_no_more_processes_than_chunks(monkeypatch, workers, chunks, pool_size):
+    _run_on_fake_pool(monkeypatch, workers, chunks, 8, pool_size)
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(4, 4), (None, None)])
+def test_pool_has_no_more_processes_than_cpus(monkeypatch, cpus, pool_size):
+    # os.cpu_count() is None where the count is unknown: the runs go serially
+    _run_on_fake_pool(monkeypatch, 16, 6, cpus, pool_size)
+
+
+def test_ensemble_stores_are_read_only():
+    stats = run_ensemble(EnsembleConfig(K=3, runs=5, base_seed=1, statistics=("height_growth",),
+                                        growth_steps=200))
+    mean = stats.mean("height_growth")
+    with pytest.raises(ValueError):
+        stats.samples("height_growth")[:] = 0
+    with pytest.raises(ValueError):
+        stats.root_counts[0] = 7
+    assert stats.mean("height_growth") == mean
 
 
 def test_width_three_roots_are_constant():

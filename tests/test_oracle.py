@@ -24,6 +24,7 @@ from stripdep.process import (
     gap_vector,
     roots_from_permutation,
 )
+from stripdep.ratpoly import pgf_moments
 from stripdep.roots import aux_root_pgf, cyclic_root_pgf
 
 C = BoundaryMode.CYCLIC
@@ -54,8 +55,9 @@ def brute_force_counts(K, mode):
 def test_width_three_is_deterministic():
     d = enumerate_root_distribution(3, C)
     assert d.support == {1: F(1)}
-    assert d.mean() == 1
-    assert d.variance() == 0
+    m = pgf_moments(d.pgf())
+    assert m.mean == 1
+    assert m.variance == 0
 
 
 def test_width_three_auxiliary():
@@ -66,9 +68,10 @@ def test_width_three_auxiliary():
 def test_width_four_cyclic_moments():
     d = enumerate_root_distribution(4, C)
     assert d.support == {1: F(2, 3), 2: F(1, 3)}
-    assert d.mean() == F(4, 3)
+    m = pgf_moments(d.pgf())
+    assert m.mean == F(4, 3)
     # Bernoulli(1/3) shifted by one: variance (1/3)(2/3)
-    assert d.variance() == F(2, 9)
+    assert m.variance == F(2, 9)
 
 
 def test_probabilities_have_factorial_denominators():
@@ -92,10 +95,10 @@ def test_gaps_match_recursion_engine():
 
 
 def test_gap_examples():
-    assert enumerate_gap_distribution(4, 1).mean() == F(2, 3)
-    d5 = enumerate_gap_distribution(5, 1)
-    assert d5.mean() == F(2, 3)
-    assert d5.variance() == F(2, 9)
+    assert pgf_moments(enumerate_gap_distribution(4, 1).pgf()).mean == F(2, 3)
+    m5 = pgf_moments(enumerate_gap_distribution(5, 1).pgf())
+    assert m5.mean == F(2, 3)
+    assert m5.variance == F(2, 9)
 
 
 def test_joint_identities_pointwise():

@@ -130,6 +130,11 @@ def test_gap_vector_rejects_non_cyclic():
         gap_vector(RootSet(5, A, (2, 4)))
 
 
+def test_gap_vector_rejects_an_empty_cyclic_root_set():
+    with pytest.raises(ValueError, match="^cyclic root set cannot be empty$"):
+        gap_vector(RootSet(5, C, ()))
+
+
 def test_root_set_requires_increasing_sites():
     with pytest.raises(ValueError):
         RootSet(5, C, (3, 2))

@@ -91,11 +91,6 @@ def test_count_moments_equal_pgf_moments():
     assert m.variance == F(14, 4) + F(9, 4) - F(81, 16)
 
 
-def test_moment_summary_invariant_enforced():
-    with pytest.raises(ValueError):
-        MomentSummary(mean=F(1), variance=F(5), second_factorial_moment=F(0))
-
-
 def test_geometric_series():
     assert series_coefficients([1], 1, 1, 4) == [1, 1, 1, 1]
     assert series_coefficients([1], 2, 1, 3) == [F(1, 2)] * 3
