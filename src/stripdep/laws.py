@@ -1,12 +1,14 @@
 """Exact laws checked by `stripdep verify`: moment laws, polynomial tables,
 series rows and cross-engine equalities. A suite maps the largest width to
-check to its `Law`s, in output order, each checked at every width."""
+check to its `Law`s, in output order, each checked width by width up to its
+first failure."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise, zip_longest
+from itertools import accumulate, pairwise, zip_longest
+from operator import attrgetter
 
 from .gaps import abc_degree, abc_recursion, build_gap_tables, gap_distribution, gap_moments
 from .oracle import (_check_enumeration_width, enumerate_gap_distribution,
@@ -23,23 +25,19 @@ from .roots import (
 
 
 class Law:
-    """One exact law, checked width by width. It holds when every width
-    matched; otherwise it keeps the first width that did not, with the
-    values found and expected there."""
+    """One exact law from its cases ``(where, found, expected)``, ``where`` a
+    width K or a ready label such as "K=5, i=2". It holds when every case
+    matches; otherwise it keeps the first mismatch and reads no later case."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, cases):
         self.name = name
-        self.failure = None
-
-    def check(self, K: int, found, expected, i: int | None = None) -> None:
-        """Compare at width K; a law checked per gap index also names ``i``."""
-        if self.failure is None and found != expected:
-            self.failure = (f"K={K}" if i is None else f"K={K}, i={i}", found, expected)
+        self.failure = next((case for case in cases if case[1] != case[2]), None)
 
     def __str__(self) -> str:
         if self.failure is None:
             return self.name
         where, found, expected = self.failure
+        where = f"K={where}" if isinstance(where, int) else where
         return f"{self.name} ({where}: found {_show(found)}, expected {_show(expected)})"
 
 
@@ -57,19 +55,25 @@ def _show(value) -> str:
 def suite_roots(kmax: int) -> list[Law]:
     """Moments from the integer counts W_n = n! * L_n: the cyclic root count
     of width K is one more than the auxiliary count of width K - 1."""
-    mean, variance, normalization, degree = laws = [
-        Law(f"root-count mean K/3 for K=3..{kmax}"),
-        Law(f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}"),
-        Law(f"PGF normalization at z=1 for K=3..{kmax}"),
-        Law(f"PGF degree floor((K-1)/2) for K=3..{kmax}")]
+    widths = [(K, count_moments(*cyclic_counts(K - 1, below)), sum(counts), len(counts) - 1)
+              for K, (below, counts) in enumerate(pairwise(aux_root_layers(kmax)), 1) if K >= 3]
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
-    for K, (below, counts) in enumerate(islice(pairwise(aux_root_layers(kmax)), 2, None), 3):
-        m = count_moments(*cyclic_counts(K - 1, below))
-        mean.check(K, m.mean, Fraction(K, 3))
-        variance.check(K, m.variance, variance_law.get(K, Fraction(2 * K, 45)))
-        normalization.check(K, sum(counts), math.factorial(K))
-        degree.check(K, len(counts) - 1, (K - 1) // 2)
-    return laws
+    return [
+        Law(f"root-count mean K/3 for K=3..{kmax}",
+            ((K, m.mean, Fraction(K, 3)) for K, m, _, _ in widths)),
+        Law(f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}",
+            ((K, m.variance, variance_law.get(K, Fraction(2 * K, 45))) for K, m, _, _ in widths)),
+        Law(f"PGF normalization at z=1 for K=3..{kmax}",
+            ((K, total, math.factorial(K)) for K, _, total, _ in widths)),
+        Law(f"PGF degree floor((K-1)/2) for K=3..{kmax}",
+            ((K, degree, (K - 1) // 2) for K, _, _, degree in widths))]
+
+
+def _gap_mean_sums(K: int) -> tuple[Fraction, Fraction]:
+    """The sum and the i-weighted sum of the gap-i means at width K."""
+    gap_means = [gap_moments(i, K).mean for i in range(1, K)]
+    return (sum(gap_means, Fraction(0)),
+            sum((i * m for i, m in enumerate(gap_means, 1)), Fraction(0)))
 
 
 def suite_gaps(kmax: int) -> list[Law]:
@@ -82,25 +86,23 @@ def suite_gaps(kmax: int) -> list[Law]:
                  4: Fraction(12154, 637875), 5: Fraction(649555688, 97692469875),
                  6: Fraction(5967328, 3192564375),
                  7: Fraction(191501338988, 428772250281375)}
-    unit = Law(f"unit-gap moment laws for K=4..{kg}")
-    linear = {i: Law(f"gap-{i} linear moment laws for K=31..{kg}") for i in means if kg >= 31}
-    identities = Law(f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}")
+    linear = list(means) if kg >= 31 else []
+    mean_variance = attrgetter("mean", "variance")
     build_gap_tables([1, *linear], kg)
     build_gap_tables(range(1, ki), ki)
-    for K in range(4, kg + 1):
-        m = gap_moments(1, K)
-        unit.check(K, (m.mean, m.variance), (Fraction(2, 3) if K == 4 else Fraction(2 * K, 15),
-                                             exceptions.get(K, Fraction(1772 * K, 14175))))
-    for i, law in linear.items():
-        for K in range(31, kg + 1):
-            m = gap_moments(i, K)
-            law.check(K, (m.mean, m.variance), (means[i] * K, variances[i] * K))
-    for K in range(3, ki + 1):
-        gap_means = [gap_moments(i, K).mean for i in range(1, K)]
-        identities.check(K, (sum(gap_means, Fraction(0)),
-                             sum((i * m for i, m in enumerate(gap_means, 1)), Fraction(0))),
-                         (Fraction(K, 3), Fraction(2 * K, 3)))
-    return [unit, *linear.values(), identities]
+    return [
+        Law(f"unit-gap moment laws for K=4..{kg}",
+            ((K, mean_variance(gap_moments(1, K)),
+              (Fraction(2, 3) if K == 4 else Fraction(2 * K, 15),
+               exceptions.get(K, Fraction(1772 * K, 14175))))
+             for K in range(4, kg + 1))),
+        *(Law(f"gap-{i} linear moment laws for K=31..{kg}",
+              ((K, mean_variance(gap_moments(i, K)), (means[i] * K, variances[i] * K))
+               for K in range(31, kg + 1)))
+          for i in linear),
+        Law(f"gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..{ki}",
+            ((K, _gap_mean_sums(K), (Fraction(K, 3), Fraction(2 * K, 3)))
+             for K in range(3, ki + 1)))]
 
 
 # (scale, numerator ascending coefficients) with scale*(1-x)^2*E_i = numerator;
@@ -164,62 +166,51 @@ def suite_tables(kmax: int) -> list[Law]:
         7: ((18, -36, 35, -34, 17), (45, -2, -43, 17, -17), (98, 132, 68, 0, 17), 315),
     }
     kt, ks = max(7, min(kmax, 40)), min(kmax, 25)
-    triples, normalization, unit_pgf, insertion = laws = [
-        Law("unit-gap polynomial triples for K=3..7"),
-        Law(f"triple normalization and degree law for K=3..{kt}"),
-        Law(f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}"),
-        Law(f"cross-engine: insertion root engine equals first-step recursion for K=0..{kt}")]
     build_gap_tables([1], kt + 1)
     build_gap_tables(MEAN_SERIES_ROWS, ks)
-    for t in abc_recursion(kt):
-        if t.K in table1:
-            *counts, den = table1[t.K]
-            triples.check(t.K, (t.a, t.b, t.c),
-                          tuple(RationalPolynomial.from_counts(cs, den) for cs in counts))
-        normalization.check(t.K, (t.a(1), t.b(1), t.c(1), t.c.degree),
-                            (0, 0, 1, abc_degree(t.K)))
-        unit_pgf.check(t.K, t.c, gap_distribution(1, t.K + 1))
-    for n, (found, expected) in enumerate(zip_longest(list(aux_root_layers(kt)),
-                                                      first_step_root_counts(kt))):
-        insertion.check(n, found, expected)
-
-    for i, (scale, num) in MEAN_SERIES_ROWS.items():
-        note = " (leading power x^3 restored)" if i == 1 else ""
-        laws.append(law := Law(f"mean series row i={i}{note} vs engine, widths 4..{ks}"))
-        series = series_coefficients(num, scale, 2, ks)
-        for K in range(3, ks):
-            law.check(K + 1, series[K], _ring_moments(i, K + 1).mean)
-    for i, (scale, shift, lead, inner) in FACTORIAL_SERIES_ROWS.items():
-        note = " (third-order pole)" if i == 5 else ""
-        laws.append(law := Law(f"second-factorial-moment series row i={i}{note} vs engine, "
-                               f"widths 4..{ks}"))
-        series = series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)
-        for K in range(3, ks):
-            law.check(K + 1, series[K], _ring_moments(i, K + 1).second_factorial_moment)
-    return laws
+    triples = abc_recursion(kt)
+    return [
+        Law("unit-gap polynomial triples for K=3..7",
+            ((t.K, (t.a, t.b, t.c), tuple(RationalPolynomial.from_counts(cs, table1[t.K][-1])
+                                          for cs in table1[t.K][:-1]))
+             for t in triples if t.K in table1)),
+        Law(f"triple normalization and degree law for K=3..{kt}",
+            ((t.K, (t.a(1), t.b(1), t.c(1), t.c.degree), (0, 0, 1, abc_degree(t.K)))
+             for t in triples)),
+        Law(f"cross-engine: c_K equals unit-gap PGF at width K+1, K=3..{kt}",
+            ((t.K, t.c, gap_distribution(1, t.K + 1)) for t in triples)),
+        Law(f"cross-engine: insertion root engine equals first-step recursion for K=0..{kt}",
+            ((n, *pair) for n, pair in enumerate(zip_longest(list(aux_root_layers(kt)),
+                                                            first_step_root_counts(kt))))),
+        *(Law(f"mean series row i={i}{' (leading power x^3 restored)' if i == 1 else ''} "
+              f"vs engine, widths 4..{ks}",
+              zip(range(4, ks + 1), series_coefficients(num, scale, 2, ks)[3:],
+                  (_ring_moments(i, K).mean for K in range(4, ks + 1))))
+          for i, (scale, num) in MEAN_SERIES_ROWS.items()),
+        *(Law(f"second-factorial-moment series row i={i}{' (third-order pole)' if i == 5 else ''} "
+              f"vs engine, widths 4..{ks}",
+              zip(range(4, ks + 1),
+                  series_coefficients([0] * shift + [lead * c for c in inner], scale, 3, ks)[3:],
+                  (_ring_moments(i, K).second_factorial_moment for K in range(4, ks + 1))))
+          for i, (scale, shift, lead, inner) in FACTORIAL_SERIES_ROWS.items())]
 
 
 def suite_oracle(kmax: int) -> list[Law]:
     _check_enumeration_width(kmax)
     build_gap_tables(range(1, kmax), kmax)
-    laws = []
-    for K in range(3, kmax + 1):
-        cyclic, aux, gaps = width_laws = (
-            Law(f"cyclic root enumeration equals PGF engine at K={K}"),
-            Law(f"auxiliary root enumeration equals PGF engine at K={K}"),
-            Law(f"gap enumeration equals recursion engine at K={K}, all i"))
-        cyclic.check(K, enumerate_root_distribution(K, BoundaryMode.CYCLIC).pgf(),
-                     cyclic_root_pgf(K))
-        aux.check(K, enumerate_root_distribution(K, BoundaryMode.AUXILIARY).pgf(),
-                  aux_root_pgf(K))
-        for i in range(1, K):
-            gaps.check(K, enumerate_gap_distribution(K, i).pgf(), gap_distribution(i, K), i)
-        laws += width_laws
-    return laws
+    return [law for K in range(3, kmax + 1) for law in (
+        Law(f"cyclic root enumeration equals PGF engine at K={K}",
+            [(K, enumerate_root_distribution(K, BoundaryMode.CYCLIC).pgf(), cyclic_root_pgf(K))]),
+        Law(f"auxiliary root enumeration equals PGF engine at K={K}",
+            [(K, enumerate_root_distribution(K, BoundaryMode.AUXILIARY).pgf(), aux_root_pgf(K))]),
+        Law(f"gap enumeration equals recursion engine at K={K}, all i",
+            ((f"K={K}, i={i}", enumerate_gap_distribution(K, i).pgf(), gap_distribution(i, K))
+             for i in range(1, K))))]
 
 
-# suite name -> (suite, default largest width, smallest width that checks
-# every law), in `verify --suite all` order; mean series row i=7 is 0 below
-# width 8
+# suite name -> (suite, default largest width, smallest --kmax), in `verify
+# --suite all` order. From its floor a suite checks every law it prints (mean
+# series row i=7 is 0 below width 8); the gaps suite prints its six gap-i
+# linear laws, stated on K=31..40, only from --kmax 31.
 SUITES = {"roots": (suite_roots, 60, 3), "gaps": (suite_gaps, 40, 4),
           "tables": (suite_tables, 25, 8), "oracle": (suite_oracle, 8, 3)}

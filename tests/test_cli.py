@@ -258,7 +258,8 @@ def test_verify_rejects_kmax_below_three(capsys, suite, kmax):
     assert err == f"error: --kmax must be >= 3, got {kmax}\n"
 
 
-# smallest --kmax at which each suite checks every law; `all` takes the largest
+# smallest --kmax at which each suite checks every law it prints (the gaps
+# suite prints all eight of its laws only from 31); `all` takes the largest
 SUITE_MIN_KMAX = {"roots": 3, "gaps": 4, "tables": 8, "oracle": 3, "all": 8}
 
 
@@ -277,6 +278,18 @@ def test_verify_kmax_boundary_of_each_suite(capsys, suite):
         assert out == ""
         assert err == (f"error: --suite {suite} needs --kmax >= {smallest}, "
                        f"got {smallest - 1}\n")
+
+
+def test_verify_gaps_prints_its_linear_laws_only_from_kmax_31(capsys):
+    # the six gap-i linear laws (i = 2..7) are stated on K=31..40
+    identities = "PASS: [gaps] gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..25"
+    assert run_cli(capsys, "verify", "--suite", "gaps", "--kmax", "30")[:2] == (0, "\n".join([
+        "PASS: [gaps] unit-gap moment laws for K=4..30", identities,
+        "OK: all checks passed\n"]))
+    assert run_cli(capsys, "verify", "--suite", "gaps", "--kmax", "31")[:2] == (0, "\n".join([
+        "PASS: [gaps] unit-gap moment laws for K=4..31",
+        *(f"PASS: [gaps] gap-{i} linear moment laws for K=31..31" for i in range(2, 8)),
+        identities, "OK: all checks passed\n"]))
 
 
 def test_verify_tables_at_its_smallest_kmax_checks_width_8_on_every_row(capsys):
@@ -324,6 +337,21 @@ def test_verify_tables_compares_every_series_row_at_every_labelled_width(monkeyp
             r"FAIL: \[tables\] .* widths 4\.\.8 \(K=5: found (\S+), expected (\S+)\)",
             line).groups()
         assert Fraction(found) == Fraction(expected) + 1
+
+
+def test_a_law_keeps_its_first_mismatch_and_reads_no_case_after_it():
+    def cases():
+        yield 3, 1, 1
+        yield 4, Fraction(1, 2), 1
+        raise AssertionError("a case after the first mismatch was read")
+
+    law = laws.Law("mean law", cases())
+    assert law.failure == (4, Fraction(1, 2), 1)
+    assert str(law) == "mean law (K=4: found 1/2, expected 1/1)"
+    law = laws.Law("gap law", [("K=5, i=2", (1,), (2,)), (6, 0, 1)])
+    assert str(law) == "gap law (K=5, i=2: found (1/1), expected (2/1))"
+    law = laws.Law("passing law", [(3, 1, 1), (4, 2, 2)])
+    assert (law.failure, str(law)) == (None, "passing law")
 
 
 def test_verify_names_each_laws_own_first_failing_width(monkeypatch, capsys):

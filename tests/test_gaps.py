@@ -195,6 +195,21 @@ def test_a_failed_build_leaves_the_cached_table_as_it_was(monkeypatch):
         assert (cached.k_max, len(cached)) == (K - 1, len(fresh))
 
 
+def test_a_table_entry_that_overflows_its_slots_is_refused(monkeypatch):
+    # in one-byte slots the counts of width 6 (summing to 6! = 720) carry
+    # into the next slot; those of width 5 (summing to 5! = 120) still fit
+    exact = GapRecursionTable(1, 5).stored_counts()
+    monkeypatch.setattr(gaps, "_slot_bytes", lambda k_max: 1)
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    assert GapRecursionTable(1, 5).stored_counts() == exact
+    message = r"^table entry \(l=0, r=0, k=6\) for i=1 is not a PGF$"
+    with pytest.raises(ArithmeticError, match=message):
+        GapRecursionTable(1, 6)
+    with pytest.raises(ArithmeticError, match=message):
+        gap_pgf_table(1, 6)
+    assert gaps._table_cache == {}
+
+
 def test_capped_table_entry_counts():
     # states (l', r', m) with l' <= r' <= i+1, m >= 3, l' + r' + m <= 39
     assert [len(GapRecursionTable(i, 39)) for i in (1, 7)] == [210, 1305]

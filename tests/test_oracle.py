@@ -13,6 +13,7 @@ from stripdep.gaps import gap_distribution
 from stripdep.oracle import (
     MAX_ENUMERATION_WIDTH,
     EnumerationLimitError,
+    ExactDistribution,
     _enumerate,
     _order_blocks,
     enumerate_gap_distribution,
@@ -118,6 +119,15 @@ def test_resource_guard():
     for i in (0, 5):
         with pytest.raises(ValueError, match=rf"^gap index {i} out of range 1\.\.4$"):
             enumerate_gap_distribution(5, i)
+
+
+@pytest.mark.parametrize("support, message", [
+    ({1: F(1, 2)}, "probabilities sum to 1/2, not 1"),
+    ({0: F(3, 2), 1: F(-1, 2)}, "negative probability"),
+])
+def test_an_exact_distribution_must_be_a_distribution(support, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExactDistribution("roots", 5, C, support)
 
 
 def test_json_dump_uses_fraction_strings():
