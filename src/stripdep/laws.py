@@ -54,8 +54,10 @@ def _show(value) -> str:
 
 def suite_roots(kmax: int) -> list[Law]:
     """Moments from the integer counts W_n = n! * L_n: the cyclic root count
-    of width K is one more than the auxiliary count of width K - 1."""
-    widths = [(K, count_moments(*cyclic_counts(K - 1, below)), sum(counts), len(counts) - 1)
+    of width K is one more than the auxiliary count of width K - 1. A width
+    keeps its sum of W_K, an integer of K!'s size, only where it is not K!."""
+    widths = [(K, count_moments(*cyclic_counts(K - 1, below)),
+               None if (total := sum(counts)) == math.factorial(K) else total, len(counts) - 1)
               for K, (below, counts) in enumerate(pairwise(aux_root_layers(kmax)), 1) if K >= 3]
     variance_law = {3: Fraction(0), 4: Fraction(2, 9)}
     return [
@@ -64,7 +66,7 @@ def suite_roots(kmax: int) -> list[Law]:
         Law(f"root-count variance law (0, 2/9, then 2K/45) for K=3..{kmax}",
             ((K, m.variance, variance_law.get(K, Fraction(2 * K, 45))) for K, m, _, _ in widths)),
         Law(f"PGF normalization at z=1 for K=3..{kmax}",
-            ((K, total, math.factorial(K)) for K, _, total, _ in widths)),
+            ((K, total, math.factorial(K)) for K, _, total, _ in widths if total is not None)),
         Law(f"PGF degree floor((K-1)/2) for K=3..{kmax}",
             ((K, degree, (K - 1) // 2) for K, _, _, degree in widths))]
 

@@ -379,6 +379,22 @@ def test_verify_names_each_laws_own_first_failing_width(monkeypatch, capsys):
     ]
 
 
+def test_verify_roots_names_a_layer_that_does_not_sum_to_k_factorial(monkeypatch, capsys):
+    # one order too many at width 6: the normalization law names that width
+    # with the found sum and 6!
+    layers = laws.aux_root_layers
+
+    def corrupted(kmax):
+        for K, counts in enumerate(layers(kmax)):
+            yield (counts[0] + 1, *counts[1:]) if K == 6 else counts
+
+    monkeypatch.setattr(laws, "aux_root_layers", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "roots", "--kmax", "8")
+    assert code == 1
+    assert ("FAIL: [roots] PGF normalization at z=1 for K=3..8 "
+            "(K=6: found 721/1, expected 720/1)") in out.splitlines()
+
+
 def test_verify_oracle_names_the_failing_gap_index(monkeypatch, capsys):
     # the engine's gap-2 law at width 5 is replaced by the point mass at 0
     engine = laws.gap_distribution

@@ -16,6 +16,7 @@ from stripdep.oracle import (
     ExactDistribution,
     _enumerate,
     _order_blocks,
+    _root_sets,
     enumerate_gap_distribution,
     enumerate_root_distribution,
 )
@@ -162,6 +163,37 @@ def test_order_blocks_cover_each_order_once(K):
     codes = np.concatenate(codes)
     assert len(codes) == math.factorial(K)
     assert len(np.unique(codes)) == math.factorial(K)
+
+
+def test_both_modes_and_all_gaps_read_one_sweep(monkeypatch):
+    sweeps = []
+
+    def counted(K):
+        sweeps.append(K)
+        return _order_blocks(K)
+
+    monkeypatch.setattr(oracle, "_order_blocks", counted)
+    _root_sets.cache_clear()
+    _enumerate.cache_clear()
+    K = 6
+    enumerate_root_distribution(K, C)
+    enumerate_root_distribution(K, A)
+    for i in range(1, K):
+        enumerate_gap_distribution(K, i)
+    assert sweeps == [K]
+
+
+@pytest.mark.parametrize("K", range(3, 10))
+def test_root_set_counts_cover_each_order_once(K):
+    counts = _root_sets(K)
+    assert counts.shape == (2 ** K,) and counts.dtype == np.int64
+    assert counts.sum() == math.factorial(K)
+    # the first site hit is always a root
+    assert counts[0] == 0
+    # a root's two neighbours are ranked above it, so neither is a root
+    sets = np.flatnonzero(counts)
+    turned = ((sets << 1) | (sets >> (K - 1))) & (2 ** K - 1)
+    assert not (sets & turned).any()
 
 
 def test_oracle_stays_independent_of_the_kernels_it_checks():
