@@ -39,7 +39,6 @@ from .oracle import (
 from .process import (
     BoundaryMode,
     FirstHitPermutation,
-    GapVector,
     RootSet,
     deposit,
     first_hit_ranks,

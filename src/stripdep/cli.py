@@ -61,11 +61,12 @@ def _write(text: str, out: str | None, mode: str = "w") -> None:
 
 def _check_out(path: str) -> None:
     """Fail as writing ``path`` would, before any work is done. Appending
-    nothing truncates no existing file, and a file the check made is removed."""
-    made = not os.path.lexists(path)
+    nothing truncates no existing file, and a file the check made is removed:
+    through a dangling symlink that is the link's target, not the link."""
+    made = not os.path.exists(path)
     _write("", path, "a")
     if made:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _write_data(args, config: dict, payload, header: tuple[str, ...], rows) -> None:

@@ -30,6 +30,7 @@ exit-2 error; the cap raises `EnumerationLimitError`, its exit-3 guard.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,29 +109,6 @@ class RootSet:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class GapVector:
-    """counts[i-1] = number of consecutive-root pairs at circular distance i+1.
-
-    Defined for the cyclic process; the pair wrapping around the strip is
-    included, so a single root contributes one gap of index K-1.
-    """
-
-    K: int
-    counts: tuple[int, ...]
-
-    def count(self, i: int) -> int:
-        _check_gap_index(i, self.K)
-        return self.counts[i - 1]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def weighted_total(self) -> int:
-        """sum over i of i * counts[i]; equals K - (number of roots)."""
-        return sum(i * c for i, c in enumerate(self.counts, start=1))
-
-
 def roots_from_permutation(perm: FirstHitPermutation, mode: BoundaryMode) -> RootSet:
     """Root set implied by first-hit ranks: a site is a root iff it is hit
     before every neighbor. Virtual boundary cells in AUXILIARY mode are
@@ -164,18 +142,15 @@ def first_hit_ranks(targets, K: int) -> FirstHitPermutation:
     return FirstHitPermutation(K=K, ranks=tuple(ranks))
 
 
-def gap_vector(roots: RootSet) -> GapVector:
-    """Gap counts between consecutive roots, including the wrap-around pair."""
+def gap_vector(roots: RootSet) -> Counter[int]:
+    """Gap counts between consecutive roots, keyed by gap index i (circular
+    distance i+1), including the pair wrapping around the ring: a single
+    root gives one gap of index K-1. Defined for the cyclic process only."""
     _check_cyclic(roots.mode, "gap vector")
     if roots.card == 0:
         raise ValueError("cyclic root set cannot be empty")
-    K = roots.K
-    counts = [0] * (K - 1)
     pos = roots.roots
-    for a, b in zip(pos, pos[1:]):
-        counts[b - a - 2] += 1          # circular distance b-a = i+1
-    counts[K - (pos[-1] - pos[0]) - 2] += 1
-    return GapVector(K=K, counts=tuple(counts))
+    return Counter(b - a - 1 for a, b in zip(pos, (*pos[1:], pos[0] + roots.K)))
 
 
 def deposit(heights: list[int], targets) -> list[int]:
@@ -207,13 +182,13 @@ def deposit(heights: list[int], targets) -> list[int]:
 
 
 def simulate_final_roots(K: int, mode: BoundaryMode,
-                         rng: np.random.Generator) -> tuple[RootSet, GapVector | None]:
+                         rng: np.random.Generator) -> tuple[RootSet, Counter[int] | None]:
     """Full-height simulation of the deposition chain until the root set is
     final, i.e. until every site has been targeted at least once (a site's
     root status is decided at its first hit). Targets come in batches of
     ``min(4K, 2**16)``; deposits after full coverage in the last batch cannot
-    land at height 1. Returns the root set and, in cyclic mode, the gap
-    vector."""
+    land at height 1. Returns the root set and, in cyclic mode, its gap
+    counts (`gap_vector`); in auxiliary mode None."""
     _check_width(K)
     heights = [0] * K + ([1] if mode is BoundaryMode.AUXILIARY else [])
     roots = []

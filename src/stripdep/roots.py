@@ -105,14 +105,11 @@ def root_layers(mode: BoundaryMode,
             yield n + 1, *cyclic_counts(n, counts)
 
 
-def aux_root_counts(K: int) -> tuple[int, ...]:
-    """Coefficients of W_K = K! * L_K: first-hit orders by root count."""
-    return deque(aux_root_layers(K), maxlen=1)[0]
-
-
 def aux_root_pgf(K: int) -> RationalPolynomial:
-    """PGF of the root count of the auxiliary process of width K."""
-    return RationalPolynomial.from_counts(aux_root_counts(K), math.factorial(K))
+    """PGF of the root count of the auxiliary process of width K: the last
+    layer W_K over K! orders."""
+    return RationalPolynomial.from_counts(deque(aux_root_layers(K), maxlen=1)[0],
+                                          math.factorial(K))
 
 
 def first_step_root_counts(k_max: int) -> list[tuple[int, ...]]:

@@ -609,6 +609,18 @@ def test_output_checks_keep_existing_files_and_leave_no_new_one(tmp_path, capsys
     assert not (tmp_path / "new").exists()
 
 
+def test_output_check_through_a_dangling_symlink_leaves_only_the_link(tmp_path, capsys):
+    link = tmp_path / "link"
+    link.symlink_to("target.json")
+    code, out, _ = run_cli(capsys, "simulate", "--K", "2", "--runs", "5", "--out", str(link))
+    assert (code, out) == (2, "")
+    assert link.is_symlink() and not (tmp_path / "target.json").exists()
+    code, out, _ = run_cli(capsys, "simulate", "--K", "3", "--runs", "5", "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "target.json").read_text())["config"]["runs"] == 5
+
+
 def test_an_allocation_failure_exits_3(capsys):
     code, out, err = run_cli(capsys, "simulate", "--K", _UNALLOCATABLE_K, "--runs", "1")
     assert (code, out) == (3, "")

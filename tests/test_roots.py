@@ -13,7 +13,6 @@ from stripdep.process import BoundaryMode
 from stripdep.ratpoly import RationalPolynomial as P, pgf_moments
 from stripdep.roots import (
     asymptotic_root_pgf,
-    aux_root_counts,
     aux_root_layers,
     aux_root_pgf,
     cyclic_root_pgf,
@@ -126,11 +125,12 @@ def test_asymptotic_domain_errors():
 def test_insertion_engine_equals_first_step_recursion_to_110():
     reference = first_step_root_counts(110)
     assert len(reference) == 111
-    for K in range(111):
-        counts = aux_root_counts(K)
+    layers = list(aux_root_layers(110))
+    assert len(layers) == 111
+    for K, counts in enumerate(layers):
         assert counts == reference[K]
         assert sum(counts) == math.factorial(K)
-    assert aux_root_counts(5) == reference[5] == (16, 88, 16)
+    assert layers[5] == reference[5] == (16, 88, 16)
 
 
 @pytest.fixture
