@@ -16,7 +16,8 @@ are printed as "num/den" strings by stripdep.ratpoly.fraction_string, never
 floats; the cyclic/auxiliary root relation lives in stripdep.roots alone.
 Exit codes: 0 success, 1 verify found a failing check, 2 configuration/usage
 error, 3 resource guard triggered or memory exhausted. An --out or --gnuplot
-path that cannot be written exits 2 before any work is done.
+path that cannot be written, or that is the same file as the --config file
+or another output, exits 2 before any work is done.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def _check_out(path: str) -> None:
     _write("", path, "a")
     if made:
         os.remove(os.path.realpath(path))
+
+
+def _check_distinct(files: list[tuple[str, str | None]]) -> None:
+    """Refuse a ``(flag, path)`` that resolves to the path of an earlier one:
+    the command would overwrite that file. A ``None`` path is not given."""
+    seen = {}
+    for flag, path in files:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise EnsembleConfigError(f"{flag} {path} is the same file as {seen[real]}")
+            seen[real] = f"{flag} {path}"
 
 
 def _write_data(args, config: dict, payload, header: tuple[str, ...], rows) -> None:
@@ -155,7 +168,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("verify", help="exact-equality suites across engines")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--kmax", type=int, default=None,
-                   help="largest width (suite-specific default)")
+                   help="largest width (suite-specific default; the gaps and "
+                        "tables suites stop at 40, and at 25 for some laws)")
     p.add_argument("--out", metavar="PATH")
 
     return parser, sub.choices
@@ -211,6 +225,8 @@ def _cmd_simulate(args) -> int:
     )
     columns = {(s if i is None else f"gaps_{i}"): (s, i) for s, i in cfg.columns()}
     gnuplot = {name: f"{args.gnuplot}{name}.dat" for name in columns} if args.gnuplot else {}
+    _check_distinct([("--config", args.config), ("--out", args.out),
+                     *(("--gnuplot file", path) for path in gnuplot.values())])
     for path in gnuplot.values():
         _check_out(path)
     stats = run_ensemble(cfg)
@@ -367,6 +383,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         if args.out:
+            _check_distinct([("--config", args.config), ("--out", args.out)])
             _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ValueError as exc:

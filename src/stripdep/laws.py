@@ -213,6 +213,8 @@ def suite_oracle(kmax: int) -> list[Law]:
 # suite name -> (suite, default largest width, smallest --kmax), in `verify
 # --suite all` order. From its floor a suite checks every law it prints (mean
 # series row i=7 is 0 below width 8); the gaps suite prints its six gap-i
-# linear laws, stated on K=31..40, only from --kmax 31.
+# linear laws, stated on K=31..40, only from --kmax 31. Above its caps a
+# suite checks no wider: gaps and tables stop their long laws at K=40, and
+# the gap-mean identities and series rows at K=25.
 SUITES = {"roots": (suite_roots, 60, 3), "gaps": (suite_gaps, 40, 4),
           "tables": (suite_tables, 25, 8), "oracle": (suite_oracle, 8, 3)}

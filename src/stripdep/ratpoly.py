@@ -3,9 +3,10 @@ moments from integer counts.
 
 The engines count first-hit orders in Python integers: a table entry or a
 root layer is a list of counts summing to n!. Only what they return is a
-`RationalPolynomial`, a probability generating function (PGF) with
-`fractions.Fraction` coefficients, built once by `from_counts`. Moments are
-taken from the counts by `count_moments`, or from a PGF by `pgf_moments`.
+`RationalPolynomial`, a probability generating function (PGF): a frozen
+dataclass whose one field is its tuple of `fractions.Fraction` coefficients,
+built once by `from_counts`. Moments are taken from the counts by
+`count_moments`, or from a PGF by `pgf_moments`.
 Every exact number the package prints is written by `fraction_string`.
 
 On coefficient lists of ints or `Fraction`s (index = power),
@@ -56,16 +57,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+@dataclass(frozen=True)
 class RationalPolynomial:
-    """Immutable dense polynomial; index = power, no trailing zeros."""
+    """Frozen dense polynomial; index = power, no trailing zeros. Equality,
+    hash and repr are the dataclass's own, on ``coefficients``."""
 
-    __slots__ = ("_coeffs",)
+    coefficients: tuple[Fraction, ...] = ()
 
-    def __init__(self, coefficients=()):
-        coeffs = [_as_fraction(c) for c in coefficients]
+    def __post_init__(self):
+        coeffs = [_as_fraction(c) for c in self.coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @classmethod
     def from_counts(cls, counts, total: int) -> "RationalPolynomial":
@@ -73,47 +76,32 @@ class RationalPolynomial:
         return cls([Fraction(c, total) for c in counts])
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.coefficients) - 1
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return bool(self.coefficients)
 
     def __mul__(self, other) -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return RationalPolynomial(coefficient_product(self._coeffs, other._coeffs))
+        return RationalPolynomial(coefficient_product(self.coefficients, other.coefficients))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
 
     def is_pgf(self) -> bool:
         """True when coefficients are a probability vector (sum 1, all >= 0)."""
-        return all(c >= 0 for c in self._coeffs) and self(1) == 1
+        return all(c >= 0 for c in self.coefficients) and self(1) == 1
 
     def fraction_strings(self) -> list[str]:
         """Coefficients as "num/den" strings."""
-        return list(map(fraction_string, self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"RationalPolynomial([{', '.join(str(c) for c in self._coeffs)}])"
+        return list(map(fraction_string, self.coefficients))
 
 
 @dataclass(frozen=True)

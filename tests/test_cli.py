@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -299,6 +303,29 @@ def test_verify_tables_at_its_smallest_kmax_checks_width_8_on_every_row(capsys):
     assert all(line.startswith("PASS: ") and line.endswith("widths 4..8") for line in rows)
 
 
+def test_verify_caps_each_laws_widths_above_its_suite_cap(capsys):
+    # --kmax is capped at 40 for the long laws and at 25 for the identities
+    # and series rows, whatever is asked for
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gaps", "--kmax", "45")
+    assert (code, out) == (0, "\n".join([
+        "PASS: [gaps] unit-gap moment laws for K=4..40",
+        *(f"PASS: [gaps] gap-{i} linear moment laws for K=31..40" for i in range(2, 8)),
+        "PASS: [gaps] gap-mean identities (sum K/3, weighted sum 2K/3) for K=3..25",
+        "OK: all checks passed\n"]))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "45")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "OK: all checks passed"
+    assert lines[:4] == [
+        "PASS: [tables] unit-gap polynomial triples for K=3..7",
+        "PASS: [tables] triple normalization and degree law for K=3..40",
+        "PASS: [tables] cross-engine: c_K equals unit-gap PGF at width K+1, K=3..40",
+        "PASS: [tables] cross-engine: insertion root engine equals first-step recursion "
+        "for K=0..40"]
+    assert len(lines[4:-1]) == 14
+    assert all(line.startswith("PASS: [tables] ") and "series row" in line
+               and line.endswith("widths 4..25") for line in lines[4:-1])
+
+
 def _series_rows(ks):
     """Each of the 14 table series rows as (i, coefficients to x^(ks-1))."""
     for i, (scale, num) in laws.MEAN_SERIES_ROWS.items():
@@ -434,6 +461,29 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_exit_codes_reach_the_calling_process(capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "stripdep.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr.decode()
+
+    verify = ("verify", "--suite", "roots", "--kmax", "5")
+    code, out, _ = run(*verify)
+    assert (code, out) == (0, run_cli(capsys, *verify)[1].encode())
+    assert run("exact-roots", "--K", "2") == (
+        2, b"", "error: substrate width must be >= 3, got 2\n")
+    code, out, err = run("oracle", "--K", "11")
+    assert (code, out) == (3, b"")
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+    code, out, err = run("simulate", "--bogus")
+    assert (code, out) == (2, b"")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,6 +669,31 @@ def test_output_check_through_a_dangling_symlink_leaves_only_the_link(tmp_path, 
     assert (code, out) == (0, "")
     assert link.is_symlink()
     assert json.loads((tmp_path / "target.json").read_text())["config"]["runs"] == 5
+
+
+_COLLIDE = ("simulate", "--K", "10", "--runs", "5")
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    pytest.param("run.cfg", (*_COLLIDE, "--out", "h_roots.dat", "--gnuplot", "h_"),
+                 "--gnuplot file h_roots.dat is the same file as --out h_roots.dat",
+                 id="gnuplot-is-out"),
+    pytest.param("run.cfg", (*_COLLIDE, "--out", "./h2_roots.dat", "--gnuplot", "h2_"),
+                 "--gnuplot file h2_roots.dat is the same file as --out ./h2_roots.dat",
+                 id="gnuplot-is-out-spelled-apart"),
+    pytest.param("run.cfg", ("exact-roots", "--K", "5", "--out", "run.cfg"),
+                 "--out run.cfg is the same file as --config run.cfg", id="out-is-config"),
+    pytest.param("h_roots.dat", (*_COLLIDE, "--gnuplot", "h_"),
+                 "--gnuplot file h_roots.dat is the same file as --config h_roots.dat",
+                 id="gnuplot-is-config"),
+])
+def test_an_output_that_is_another_file_of_the_command_exits_2(tmp_path, monkeypatch, capsys,
+                                                                config, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / config).write_bytes(b"mode=cyclic\n")
+    assert run_cli(capsys, "--config", config, *argv) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [config]
+    assert (tmp_path / config).read_bytes() == b"mode=cyclic\n"
 
 
 def test_an_allocation_failure_exits_3(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +21,28 @@ def test_trailing_zeros_are_normalized():
     assert P([0, 0]).degree == -1
     assert not P([])
     assert P([F(1, 3)]).degree == 0
+
+
+def test_a_polynomial_is_frozen():
+    p = P([1, 2])
+    for name in ("coefficients", "_coeffs", "degree"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, ())
+    assert p.coefficients == (F(1), F(2))
+
+
+def test_equal_polynomials_hash_equal_and_are_one_dict_key():
+    p, q = P([1, 2, 0]), P([1, 2])
+    assert p == q and hash(p) == hash(q)
+    assert {p: "found"}[q] == "found"
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert repr(p) == "RationalPolynomial(coefficients=(Fraction(1, 1), Fraction(2, 1)))"
+
+
+def test_a_polynomial_is_not_equal_to_or_multiplied_by_another_type():
+    assert (P([1]) == (F(1),)) is False
+    with pytest.raises(TypeError):
+        P([1]) * 2
 
 
 def test_arithmetic():
