@@ -70,16 +70,26 @@ def _check_out(path: str) -> None:
         os.remove(os.path.realpath(path))
 
 
+def _file_identity(path: str):
+    """``(st_dev, st_ino)`` of a file that exists, which also matches its hard
+    links; otherwise the resolved path, which is where it would be made."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_distinct(files: list[tuple[str, str | None]]) -> None:
-    """Refuse a ``(flag, path)`` that resolves to the path of an earlier one:
+    """Refuse a ``(flag, path)`` that is the same file as an earlier one:
     the command would overwrite that file. A ``None`` path is not given."""
     seen = {}
     for flag, path in files:
         if path:
-            real = os.path.realpath(path)
-            if real in seen:
-                raise EnsembleConfigError(f"{flag} {path} is the same file as {seen[real]}")
-            seen[real] = f"{flag} {path}"
+            key = _file_identity(path)
+            if key in seen:
+                raise EnsembleConfigError(f"{flag} {path} is the same file as {seen[key]}")
+            seen[key] = f"{flag} {path}"
 
 
 def _write_data(args, config: dict, payload, header: tuple[str, ...], rows) -> None:

@@ -3,6 +3,11 @@
 Each run draws its own random stream from ``SeedSequence(base_seed,
 spawn_key=(run_index,))``, so an ensemble's result is a pure function of its
 configuration: chunking and worker count cannot change a single sample.
+`stream_states` computes a block's PCG64 states at once, with numpy's own
+`SeedSequence` and `PCG64` seeding algorithms worked in numpy columns, and a
+chunk sets each state on one reused generator. Each chunk first checks its
+first run's state against `run_stream`, numpy's own seeding, and raises
+before drawing anything if they differ.
 Root/gap statistics use the first-hit permutation fast path (uniform random
 permutation, roots = sites ranked before both neighbors), which the test
 suite validates against the full height simulation; the height-growth
@@ -129,9 +134,95 @@ class EnsembleConfig:
 
 
 def run_stream(base_seed: int, run_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one run; worker-count agnostic."""
+    """Independent, reproducible stream for one run; worker-count agnostic.
+    numpy's own seeding: the reference that `stream_states` is checked against."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(base_seed, spawn_key=(run_index,))))
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq design) on 32-bit words and
+# PCG64's 128-bit LCG seeding, restated from numpy's implementation. The hash
+# functions below take Python ints and uint32 arrays alike.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hashmix(value, h: int, mult: int):
+    """SeedSequence's hash of a word with hash constant ``h``: the hashed
+    word and the next hash constant. ``mult`` is ``_MULT_A`` when entropy is
+    mixed into the pool and ``_MULT_B`` when state words are generated."""
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _mix_in(pool: list, word, h: int) -> int:
+    """Mix one entropy word past the pool size into every pool word, in
+    place; returns the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        hashed, h = _hashmix(word, h, _MULT_A)
+        pool[dst] = _mix(pool[dst], hashed)
+    return h
+
+
+def stream_states(base_seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``run_stream(base_seed, j)`` for each
+    run ``j`` in ``[start, stop)``, computed for the whole range at once.
+
+    The base seed's words are hashed into the pool once, in Python ints.
+    Each run's spawn-key words are then mixed into the pool as uint32
+    columns, one group of runs per word count (one word below 2**32, two
+    below 2**64, ...), and the columns give ``generate_state(4, uint64)``.
+    PCG64 takes its two 128-bit seeding steps in Python ints.
+    """
+    # little-endian 32-bit words (0 is one word), padded to the pool size
+    # because a spawn key follows
+    words = [base_seed >> shift & _MASK32 for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    h = _INIT_A
+    base = []
+    for word in words[:_POOL_SIZE]:
+        hashed, h = _hashmix(word, h, _MULT_A)
+        base.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, h = _hashmix(base[src], h, _MULT_A)
+                base[dst] = _mix(base[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        h = _mix_in(base, word, h)
+
+    states = []
+    lo = start
+    while lo < stop:
+        n_words = max(1, -(-lo.bit_length() // 32))
+        runs = range(lo, min(stop, 1 << 32 * n_words))
+        pool = [np.full(len(runs), word, dtype=np.uint32) for word in base]
+        g = h
+        for shift in range(0, 32 * n_words, 32):
+            g = _mix_in(pool, np.array([j >> shift & _MASK32 for j in runs], dtype=np.uint32), g)
+        # generate_state(4, uint64): eight words, read as little-endian pairs
+        out, g = [], _INIT_B
+        for k in range(8):
+            value, g = _hashmix(pool[k % _POOL_SIZE], g, _MULT_B)
+            out.append(value.astype(np.uint64))
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            (out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2))
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+        lo = runs.stop
+    return states
 
 
 def empirical_gap_average(roots: RootSet) -> float:
@@ -244,13 +335,24 @@ def _simulate_chunk(cfg: EnsembleConfig, start: int,
     gaps = np.zeros((n, len(cfg.gap_lengths)), dtype=np.int32)
     growth = np.zeros(n if want_growth else 0, dtype=np.float64)
     block = np.empty((BLOCK, K), dtype=np.int32)
+    # one generator for the chunk; each run sets its own state on it
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
 
     for lo in range(0, n, BLOCK):
         rows = block[:min(BLOCK, n - lo)]
+        states = stream_states(cfg.base_seed, start + lo, start + lo + len(rows))
+        if lo == 0:
+            numpy_state = run_stream(cfg.base_seed, start).bit_generator.state["state"]
+            if (numpy_state["state"], numpy_state["inc"]) != states[0]:
+                raise RuntimeError(
+                    f"numpy {np.__version__} seeds run {start} of base seed {cfg.base_seed} "
+                    "differently from stream_states; its SeedSequence or PCG64 seeding changed")
         if needs_perm:
             rows[:] = np.arange(K, dtype=np.int32)
-        for r, row in enumerate(rows):
-            rng = run_stream(cfg.base_seed, start + lo + r)
+        for r, (row, (state, inc)) in enumerate(zip(rows, states)):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
             if needs_perm:
                 # Generator.permutation(K) is exactly this shuffle of arange(K);
                 # shuffle draws the same numbers whatever the item size

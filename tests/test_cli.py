@@ -674,25 +674,30 @@ def test_output_check_through_a_dangling_symlink_leaves_only_the_link(tmp_path, 
 _COLLIDE = ("simulate", "--K", "10", "--runs", "5")
 
 
-@pytest.mark.parametrize("config, argv, message", [
+@pytest.mark.parametrize("config, argv, message, hard_links", [
     pytest.param("run.cfg", (*_COLLIDE, "--out", "h_roots.dat", "--gnuplot", "h_"),
-                 "--gnuplot file h_roots.dat is the same file as --out h_roots.dat",
+                 "--gnuplot file h_roots.dat is the same file as --out h_roots.dat", (),
                  id="gnuplot-is-out"),
     pytest.param("run.cfg", (*_COLLIDE, "--out", "./h2_roots.dat", "--gnuplot", "h2_"),
-                 "--gnuplot file h2_roots.dat is the same file as --out ./h2_roots.dat",
+                 "--gnuplot file h2_roots.dat is the same file as --out ./h2_roots.dat", (),
                  id="gnuplot-is-out-spelled-apart"),
     pytest.param("run.cfg", ("exact-roots", "--K", "5", "--out", "run.cfg"),
-                 "--out run.cfg is the same file as --config run.cfg", id="out-is-config"),
+                 "--out run.cfg is the same file as --config run.cfg", (), id="out-is-config"),
+    pytest.param("run.cfg", ("exact-roots", "--K", "5", "--out", "hard.cfg"),
+                 "--out hard.cfg is the same file as --config run.cfg", ("hard.cfg",),
+                 id="out-is-a-hard-link-to-config"),
     pytest.param("h_roots.dat", (*_COLLIDE, "--gnuplot", "h_"),
-                 "--gnuplot file h_roots.dat is the same file as --config h_roots.dat",
+                 "--gnuplot file h_roots.dat is the same file as --config h_roots.dat", (),
                  id="gnuplot-is-config"),
 ])
 def test_an_output_that_is_another_file_of_the_command_exits_2(tmp_path, monkeypatch, capsys,
-                                                                config, argv, message):
+                                                                config, argv, message, hard_links):
     monkeypatch.chdir(tmp_path)
     (tmp_path / config).write_bytes(b"mode=cyclic\n")
+    for name in hard_links:
+        os.link(tmp_path / config, tmp_path / name)
     assert run_cli(capsys, "--config", config, *argv) == (2, "", f"error: {message}\n")
-    assert [p.name for p in tmp_path.iterdir()] == [config]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config, *hard_links])
     assert (tmp_path / config).read_bytes() == b"mode=cyclic\n"
 
 

@@ -26,6 +26,7 @@ from stripdep.ensemble import (
     root_mask,
     run_ensemble,
     run_stream,
+    stream_states,
 )
 from stripdep.process import (
     BoundaryMode,
@@ -97,6 +98,49 @@ def test_run_stream_reproducibility():
     c = run_stream(99, 8).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _numpy_state(seed, j):
+    state = run_stream(seed, j).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _generator_at(state, inc):
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+# base seeds of one to seven 32-bit words (over 2**128 the base seed's fifth
+# word is mixed in after the pool), and run indices of one to three words
+STATE_SEEDS = [0, 7, 12345, 2**32 + 5, 2**64 + 3, 2**127 + 99, 2**128 + 1, 2**200 + 17]
+STATE_RUNS = [2**20, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 + 5, 2**64 + 9]
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+def test_stream_states_equal_numpys_seeding(seed):
+    assert stream_states(seed, 0, 300) == [_numpy_state(seed, j) for j in range(300)]
+    for j in STATE_RUNS:
+        assert stream_states(seed, j, j + 1) == [_numpy_state(seed, j)]
+    for edge in (2**32, 2**64):                     # a range whose runs gain a word
+        assert stream_states(seed, edge - 3, edge + 3) == [
+            _numpy_state(seed, j) for j in range(edge - 3, edge + 3)]
+
+
+@pytest.mark.parametrize("seed, j", [(0, 0), (7, 299), (2**128 + 1, 2**32)])
+def test_a_permutation_drawn_from_a_computed_state_is_numpys(seed, j):
+    [state] = stream_states(seed, j, j + 1)
+    assert np.array_equal(_generator_at(*state).permutation(1500),
+                          run_stream(seed, j).permutation(1500))
+
+
+def test_a_chunk_refuses_states_that_numpy_does_not_give(monkeypatch):
+    monkeypatch.setattr(ensemble, "_MIX_MULT_R", ensemble._MIX_MULT_R ^ 1)
+    with pytest.raises(RuntimeError, match=rf"numpy {np.__version__} seeds run 0 "):
+        run_ensemble(EnsembleConfig(K=10, runs=5, base_seed=3))
+    with pytest.raises(RuntimeError, match=rf"numpy {np.__version__} seeds run 4096 "):
+        _simulate_chunk(EnsembleConfig(K=10, base_seed=3), CHUNK_SIZE, CHUNK_SIZE + 5)
 
 
 def test_same_config_same_results():
@@ -460,6 +504,20 @@ def test_ensemble_matches_per_run_permutations(K, runs, mode, seed):
     if lengths:
         assert stats.samples("empirical_gap_average").tolist() == [
             empirical_gap_average(r) for r in roots]
+
+
+def test_a_chunk_across_run_index_2_to_the_32_matches_per_run_streams():
+    K, steps = 12, 50
+    cfg = EnsembleConfig(K=K, base_seed=9, statistics=("roots", "gaps", "height_growth"),
+                         gap_lengths=(1, 2), growth_steps=steps)
+    start, stop = 2**32 - 3, 2**32 + 3             # the spawn key gains a second word
+    cards, gaps, growth = _simulate_chunk(cfg, start, stop)
+    for r, j in enumerate(range(start, stop)):
+        rng = run_stream(cfg.base_seed, j)
+        roots = _reference(rng.permutation(K), C)
+        assert cards[r] == roots.card
+        assert gaps[r].tolist() == [gap_vector(roots)[i] for i in cfg.gap_lengths]
+        assert growth[r] == height_growth_estimate(K, steps, rng)
 
 
 @settings(max_examples=40, deadline=None)
