@@ -233,17 +233,98 @@ def empirical_gap_average(roots: RootSet) -> float:
     return roots.K / roots.card - 1.0
 
 
+# Cephes `ndtr` (Moshier, *Methods and Programs for Mathematical Functions*,
+# 1989), the code behind `scipy.special.ndtr`: its rational approximations
+# of erf on |x| <= 1 (T/U) and of erfc on 1 <= x < 8 (P/Q) and beyond (R/S).
+# Each tuple lists its coefficients from the highest power down; the
+# denominators' leading 1.0 is Cephes' `p1evl`.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes' `polevl`: one multiply and one add per coefficient, unfused."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(a: np.ndarray) -> np.ndarray:
+    """Cephes erfc for a >= 0 (nan excluded); 0.0 where exp(-a²) underflows."""
+    out = np.zeros_like(a)
+    low = a < 1.0
+    out[low] = 1.0 - _erf(a[low])
+    mid = ~low & (a * a <= _MAXLOG)
+    b = a[mid]
+    # math.exp is libm's exp, the call Cephes makes; numpy's SIMD exp can
+    # differ from it in the last bit
+    e = np.fromiter(map(math.exp, (-b * b).tolist()), dtype=np.float64, count=b.size)
+    near = b < 8.0
+    p = np.where(near, _horner(b, _ERFC_P), _horner(b, _ERFC_R))
+    q = np.where(near, _horner(b, _ERFC_Q), _horner(b, _ERFC_S))
+    out[mid] = e * p / q
+    return out
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each element, the same float64 bits as Cephes
+    `ndtr` and so `scipy.special.ndtr` (nan, ±0 and ±inf included)."""
+    x = np.asarray(z, dtype=np.float64) * _SQRT1_2
+    a = np.abs(x)
+    y = np.full_like(x, np.nan)
+    near = a < _SQRT1_2
+    y[near] = 0.5 + 0.5 * _erf(x[near])
+    far = a >= _SQRT1_2
+    y[far] = 0.5 * _erfc(a[far])
+    upper = far & (x > 0)
+    y[upper] = 1.0 - y[upper]
+    return y
+
+
 def normalized_ks_statistic(samples, mean: float, sd: float) -> float:
     """Kolmogorov-Smirnov distance between the empirical CDF of the
-    standardized samples and the standard normal CDF."""
+    standardized samples and the standard normal CDF.
+
+    The normal CDF is `_ndtr`, a numpy restatement of Cephes `ndtr`
+    (Moshier, 1989), which returns the same float64 bits as
+    `scipy.special.ndtr`, so the statistic is the one scipy's CDF gives.
+    It is evaluated once per distinct standardized value."""
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("samples must be non-empty")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
+    if not np.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
     if not np.isfinite(sd) or sd <= 0:
         raise ValueError(f"standard deviation must be positive and finite, got {sd}")
-    from scipy.special import ndtr     # scipy costs most of this module's import time
     z = np.sort((arr - mean) / sd)
-    cdf = ndtr(z)
+    # z is sorted, so each distinct value starts where z steps
+    new = np.empty(z.size, dtype=bool)
+    new[0] = True
+    np.not_equal(z[1:], z[:-1], out=new[1:])
+    cdf = _ndtr(z[new])[np.cumsum(new) - 1]
     n = z.size
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from stripdep import ensemble
@@ -17,6 +18,8 @@ from stripdep.ensemble import (
     CHUNK_SIZE,
     EnsembleConfig,
     EnsembleConfigError,
+    _MAXLOG,
+    _ndtr,
     _simulate_chunk,
     block_tallies,
     chunk_plan,
@@ -333,6 +336,33 @@ def test_normalized_ks_statistic_errors():
     constant = np.ones(10)
     with pytest.raises(ValueError):
         normalized_ks_statistic(constant, 1.0, float(np.std(constant)))
+
+
+@pytest.mark.parametrize("samples, mean, message", [
+    ([0.0, 1.0, math.nan], 0.0, "samples must be finite"),
+    ([0.0, 1.0], math.nan, "mean must be finite, got nan"),
+    ([0.0, 1.0], math.inf, "mean must be finite, got inf"),
+])
+def test_normalized_ks_statistic_refuses_non_finite_input(samples, mean, message):
+    with pytest.raises(ValueError, match=message):
+        normalized_ks_statistic(samples, mean, 1.0)
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    # Cephes' branch edges in x = z/sqrt(2): |x| = sqrt(1/2), 1 and 8, the
+    # MAXLOG cut where exp(-x^2) underflows, and z = 38.5, where the lower
+    # tail itself underflows; each is met ulp by ulp and in a band around it
+    rng = np.random.default_rng(20190533)
+    edges = (1.0, math.sqrt(2.0), 8 * math.sqrt(2.0), math.sqrt(2 * _MAXLOG), 38.5)
+    parts = [rng.uniform(-45.0, 45.0, 400_000), 3.0 * rng.standard_normal(200_000),
+             [0.0, -0.0, math.inf, -math.inf, math.nan]]
+    for edge in edges:
+        for sign in (1.0, -1.0):
+            parts.append(sign * edge * (1.0 + np.arange(-5000, 5000) * 2.0 ** -52))
+            parts.append(sign * rng.uniform(edge - 0.5, edge + 0.5, 30_000))
+    z = np.concatenate(parts)
+    assert z.size > 1_000_000
+    np.testing.assert_array_equal(_ndtr(z), ndtr(z), strict=True)
 
 
 def test_height_growth_estimate():
