@@ -357,7 +357,7 @@ def _cmd_verify(args) -> int:
         started = time.perf_counter()
         laws = suite(kmax)
         elapsed = time.perf_counter() - started
-        print(f"suite {name}: {len(laws)} checks in {elapsed:.1f}s", file=sys.stderr)
+        print(f"suite {name}: {len(laws)} checks in {elapsed:.3f}s", file=sys.stderr)
         for law in laws:
             lines.append(f"{'PASS' if law.failure is None else 'FAIL'}: [{name}] {law}")
             failed += law.failure is not None

@@ -17,6 +17,8 @@ N = m! * E, so that for m >= 3
 
 and at the boundary m <= 2, where no further root can appear, N = m! * u
 when the interval is itself an index-i gap (k == i) and m! otherwise.
+Below width i (k < i) no interval is wide enough to be an index-i gap, so
+N = m! at every m, and the table stores it without the convolution.
 
 A block of l >= i+1 sites already makes its root's gap longer than i, so N
 depends on l only through l' = min(l, i+1), on r the same way: the table's
@@ -35,14 +37,17 @@ of at most m <= k_max sites, so it is at most m! and no carry crosses a
 slot; adding and multiplying the ints then adds and multiplies the
 polynomials, and the convolution is one C-level sum of products. The
 entries sit in rows by (l', r'), indexed by m from the boundary states up,
-with rows[l'][r'] and rows[r'][l'] the same list. Each stored entry is
-checked to be non-negative with slots summing to m!, which a carry would
-break. A table covers every width up to its k_max, in minimal slots, and
-never changes: a wider request builds a new table. A caller that reads a
-range of widths therefore asks for the widest first (`build_gap_tables`):
-reading `gap_moments(7, K)` for K = 8..40 upward from a cold cache builds
-33 tables, 0.12-0.14 s, against 0.011-0.020 s with K = 40 read first, on a
-shared 2-core Xeon. `counts` and `stored_counts` unpack on read.
+with rows[l'][r'] and rows[r'][l'] the same list. Each convolved entry is
+checked to have slots summing to m!, which a carry would break; its slot
+count comes from its bit length, one or two slots are summed by shift and
+mask, and only three or more are unpacked. The coefficient budget counts
+those slots. A table covers every width up to its k_max, in minimal
+slots, and never changes: a wider request builds a new table. A caller
+that reads a range of widths therefore asks for the widest first
+(`build_gap_tables`): reading `gap_moments(7, K)` for K = 8..40 upward
+from a cold cache builds 33 tables, 0.10-0.18 s, against 0.009-0.018 s
+with K = 40 read first, on a shared 2-core Xeon. `counts` and
+`stored_counts` unpack on read.
 
 A second, much cheaper engine covers i = 1: the interval PGFs for unit gaps
 collapse onto a triple of polynomial sequences (a_K, b_K, c_K) driven by
@@ -118,17 +123,50 @@ class GapRecursionTable:
                 self._rows[l][r] = self._rows[r][l] = [self._boundary(l, r, m)
                                                        for m in range(3)]
         # weights[m] = C(m-1, m1) for m1 = 1..m-2
-        self._weights = [tuple(math.comb(m - 1, m1) for m1 in range(1, m - 1))
-                         for m in range(k_max + 1)]
-        self._stored_coefficients = 0
+        weights = [tuple(math.comb(m - 1, m1) for m1 in range(1, m - 1))
+                   for m in range(k_max + 1)]
+        fact = [math.factorial(m) for m in range(k_max + 1)]
+        up = [min(x + 1, cap) for x in range(cap + 1)]
+        rows, width, budget = self._rows, self._width, DEFAULT_COEFFICIENT_BUDGET
+        bits = 8 * width
+        mask = (1 << bits) - 1
+        stored = 0
         # a capped state (l', r', m) first appears at k = l' + r' + m; states
         # are built by that k, then by s = l' + r' from the deepest layer up,
         # so every state a rule reads is already stored
         for k in range(3, k_max + 1):
             for s in range(min(k - 3, 2 * cap), -1, -1):
+                m = k - s
                 for l in range(max(0, s - cap), s // 2 + 1):
                     r = s - l
-                    self._store(l, r, k - s, self._compute(l, r, k - s))
+                    if k < i:
+                        # no block is capped and no interval is wide enough
+                        # to be an index-i gap: the count is m! in one slot
+                        packed, slots = fact[m], 1
+                    else:
+                        left, right = rows[l][0], rows[0][r]
+                        packed = (rows[up[l]][r][m - 1] + rows[l][up[r]][m - 1]
+                                  + sum(map(mul, weights[m],
+                                            map(mul, left[1:m - 1], right[m - 2:0:-1]))))
+                        # a sum of products of positive ints is positive and
+                        # its slots are non-negative; a carry out of a slot
+                        # would lower their sum by a multiple of 2^(8w) - 1,
+                        # so slots summing to m! are the coefficients themselves
+                        slots = -(-packed.bit_length() // bits)
+                        if slots == 1:
+                            total = packed
+                        elif slots == 2:
+                            total = (packed >> bits) + (packed & mask)
+                        else:
+                            total = sum(_unpack(packed, width))
+                        if total != fact[m]:
+                            raise ArithmeticError(
+                                f"table entry (l={l}, r={r}, k={k}) for i={i} is not a PGF")
+                    stored += slots
+                    if stored > budget:
+                        raise TableBudgetError(i, (l, r, k), budget)
+                    rows[l][r].append(packed)
+        self._stored_coefficients = stored
 
     def _boundary(self, l: int, r: int, m: int) -> int:
         if l < self._cap and r < self._cap and l + r + m == self.i:
@@ -138,26 +176,6 @@ class GapRecursionTable:
     def _distinct_rows(self):
         return ((l, r, self._rows[l][r]) for l in range(self._cap + 1)
                 for r in range(l, self._cap + 1))
-
-    def _compute(self, l: int, r: int, m: int) -> int:
-        cap, rows = self._cap, self._rows
-        left, right = rows[l][0], rows[0][r]
-        return (rows[min(l + 1, cap)][r][m - 1] + rows[l][min(r + 1, cap)][m - 1]
-                + sum(map(mul, self._weights[m],
-                          map(mul, left[1:m - 1], right[m - 2:0:-1]))))
-
-    def _store(self, l: int, r: int, m: int, packed: int) -> None:
-        # the slots of a positive int are non-negative, and a carry out of a
-        # slot would lower their sum by a multiple of 2^(8w) - 1: slots
-        # summing to m! are the coefficients themselves
-        counts = _unpack(packed, self._width) if packed > 0 else ()
-        if sum(counts) != math.factorial(m):
-            raise ArithmeticError(
-                f"table entry (l={l}, r={r}, k={l + r + m}) for i={self.i} is not a PGF")
-        self._stored_coefficients += len(counts)
-        if self._stored_coefficients > DEFAULT_COEFFICIENT_BUDGET:
-            raise TableBudgetError(self.i, (l, r, l + r + m), DEFAULT_COEFFICIENT_BUDGET)
-        self._rows[l][r].append(packed)
 
     def counts(self, l: int, r: int, k: int) -> tuple[int, ...]:
         """Integer counts N = m! * E for the interval state (l, r, k), m = k - l - r."""

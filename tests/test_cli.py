@@ -232,6 +232,14 @@ def test_verify_roots_suite(capsys):
     assert out.strip().endswith("OK: all checks passed")
 
 
+def test_verify_times_each_suite_in_milliseconds_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--kmax", "8")
+    assert code == 0
+    assert "checks in" not in out
+    assert [re.fullmatch(r"suite (\w+): \d+ checks in \d+\.\d{3}s", line)[1]
+            for line in err.splitlines()] == ["roots", "gaps", "tables", "oracle"]
+
+
 def test_verify_tables_suite_cross_checks_root_engines(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "tables", "--kmax", "12")
     assert code == 0

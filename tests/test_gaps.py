@@ -17,6 +17,7 @@ from stripdep.gaps import (
     gap_moments,
     gap_pgf_table,
 )
+from stripdep.laws import SUITES
 from stripdep.ratpoly import RationalPolynomial as P, count_moments, pgf_moments
 
 U = P([0, 1])
@@ -134,7 +135,9 @@ def _list_table(i, k_max):
 
 
 def test_packed_table_equals_list_recursion():
-    for i in (1, 2, 3, 5):
+    # the list recursion convolves every state; the table stores m! below
+    # width i, so at i = 14 it convolves only the top layer k = 14
+    for i in (1, 2, 3, 5, 8, 11, 13, 14):
         table = GapRecursionTable(i, 14)   # 14! needs 5-byte slots
         assert dict(table.stored_counts()) == _list_table(i, 14), i
 
@@ -147,6 +150,17 @@ def test_stored_counts_golden_digest_to_39():
                        for t in tables])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a9f881dcdf82b74aea22a6b1984753c5cb124d86c09d61e5f5c330c39358d432")
+
+
+def test_stored_counts_golden_digest_of_the_long_gaps_to_24():
+    # SHA-256 of every stored entry of the tables i = 8..24 at k_max = 24,
+    # the tables that the gap-mean identities read, recorded from the engine
+    # that convolved every state, below width i too
+    tables = [GapRecursionTable(i, 24) for i in range(8, 25)]
+    text = json.dumps([[[l, r, m, list(c)] for (l, r, m), c in sorted(t.stored_counts())]
+                       for t in tables])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7dbf5fd9aa925e3ca123f76c3b223c8317c92510f418f5c6c5ac66fee65239ea")
 
 
 def test_table_grown_one_width_at_a_time_equals_one_built_at_once(monkeypatch):
@@ -208,6 +222,45 @@ def test_a_table_entry_that_overflows_its_slots_is_refused(monkeypatch):
     with pytest.raises(ArithmeticError, match=message):
         gap_pgf_table(1, 6)
     assert gaps._table_cache == {}
+
+
+@pytest.mark.parametrize("i, slots", [(5, 2), (4, 2), (2, 3)])
+def test_a_carried_entry_is_refused_whatever_its_slot_count(monkeypatch, i, slots):
+    # in one-byte slots the entry (0, 0, 6) carries, as it does in four
+    # slots for i = 1 above: for i = 5 it is the constant 720 = 2*256 + 208,
+    # whose two slots sum to 210
+    counts = GapRecursionTable(i, 6).counts(0, 0, 6)
+    packed = sum(c << 8 * p for p, c in enumerate(counts))
+    assert -(-packed.bit_length() // 8) == slots
+    monkeypatch.setattr(gaps, "_slot_bytes", lambda k_max: 1)
+    assert GapRecursionTable(i, 5).k_max == 5
+    with pytest.raises(ArithmeticError,
+                       match=rf"^table entry \(l=0, r=0, k=6\) for i={i} is not a PGF$"):
+        GapRecursionTable(i, 6)
+
+
+def test_a_one_slot_entry_that_is_not_m_factorial_is_refused(monkeypatch):
+    # an entry packed from true counts is at least m!, the sum of its slots,
+    # so in slots too narrow for m! it spans two or more: a one-slot entry
+    # is wrong only when the convolution miscounts. The first entry of i = 2,
+    # (0, 0, 3), is the constant 3! = 6; miscounted it is 9
+    assert GapRecursionTable(2, 3).counts(0, 0, 3) == (6,)
+    monkeypatch.setattr(gaps, "mul", lambda a, b: a * b + 1)
+    with pytest.raises(ArithmeticError,
+                       match=r"^table entry \(l=0, r=0, k=3\) for i=2 is not a PGF$"):
+        GapRecursionTable(2, 3)
+
+
+def test_the_budget_counter_counts_every_stored_slot(monkeypatch):
+    # every table that `verify --suite gaps` builds, from a cold cache
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    suite, kmax, _ = SUITES["gaps"]
+    suite(kmax)
+    tables = gaps._table_cache
+    assert sorted((i, t.k_max) for i, t in tables.items()) == (
+        [(i, 39) for i in range(1, 8)] + [(i, 24) for i in range(8, 25)])
+    for t in tables.values():
+        assert t._stored_coefficients == sum(len(c) for _, c in t.stored_counts()), t.i
 
 
 def test_capped_table_entry_counts():
@@ -315,12 +368,15 @@ def test_longer_gap_moment_examples():
     assert m.variance == F(649555688 * 35, 97692469875)
 
 
-def test_gap_mean_identities_small_widths():
-    for K in range(3, 13):
+def test_gap_mean_identities_small_widths(monkeypatch):
+    # read upward from a cold cache, as the bench's identity probe reads
+    # them: each width builds a new table for every gap index
+    monkeypatch.setattr(gaps, "_table_cache", {})
+    for K in range(3, 26):
         total = sum((gap_moments(i, K).mean for i in range(1, K)), F(0))
         weighted = sum((i * gap_moments(i, K).mean for i in range(1, K)), F(0))
-        assert total == F(K, 3)
-        assert weighted == F(2 * K, 3)
+        assert total == F(K, 3), K
+        assert weighted == F(2 * K, 3), K
 
 
 def test_sub_threshold_regression_values():
